@@ -340,7 +340,10 @@ BENCHMARK(BM_TrainEpoch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // under its strict zero-allocation contract: per-plan scratch (featurization
 // matrices, workspaces, student buffers) lives in per-worker BatchScratch,
 // per-call index buffers in the estimator's CallScratch, and the output
-// vector is reused — allocs/plan must report exactly 0.
+// vector is reused. At the default f64 each worker prices whole plans, so
+// its scratch stops allocating once it has seen the largest plan: pool 1
+// must report exactly 0, larger pools a small warm-up transient because the
+// dynamic schedule hands each worker different plans.
 void BM_PredictBatch(benchmark::State& state) {
   Fixture& f = GetFixture();
   ThreadPool pool(static_cast<int>(state.range(0)));
@@ -367,26 +370,6 @@ void BM_PredictBatch(benchmark::State& state) {
 BENCHMARK(BM_PredictBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Serving path with the prediction cache disabled: every call pays
-// fingerprint + featurization + forward. Pinned to the per-plan path — this
-// is the seed reference the packed records are measured against, and also
-// the baseline for predict_cache_hit_speedup.
-void BM_PredictBatchCold(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  ThreadPool pool(1);
-  f.estimator.set_thread_pool(&pool);
-  f.estimator.set_prediction_cache_capacity(0);
-  f.estimator.set_packed_inference(core::DaceEstimator::PackedMode::kOff);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.estimator.PredictBatchMs(f.plans));
-  }
-  f.estimator.set_packed_inference(core::DaceEstimator::DefaultPackedMode());
-  f.estimator.set_thread_pool(nullptr);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.plans.size()));
-}
-BENCHMARK(BM_PredictBatchCold)->Unit(benchmark::kMillisecond);
-
 // RAII pin for the inference precision, mirroring ScopedIsa above.
 struct ScopedPrecision {
   explicit ScopedPrecision(nn::kernel::Precision p)
@@ -397,16 +380,35 @@ struct ScopedPrecision {
   nn::kernel::Precision prev;
 };
 
-// The packed tentpole path at a given precision: same workload, pool and
-// cache setup as BM_PredictBatchCold, with packing forced on, so the derived
-// records are pure path ratios.
-void PredictBatchPacked(benchmark::State& state, nn::kernel::Precision prec) {
+// Serving path with the prediction cache disabled: every call pays
+// fingerprint + featurization + forward. Pinned to f64, where teacher misses
+// run the per-plan reference forward — this is the seed reference the
+// packed record is measured against, and also the baseline for
+// predict_cache_hit_speedup.
+void BM_PredictBatchCold(benchmark::State& state) {
   Fixture& f = GetFixture();
-  ScopedPrecision pin(prec);
+  ScopedPrecision pin(nn::kernel::Precision::kF64);
   ThreadPool pool(1);
   f.estimator.set_thread_pool(&pool);
   f.estimator.set_prediction_cache_capacity(0);
-  f.estimator.set_packed_inference(core::DaceEstimator::PackedMode::kOn);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.estimator.PredictBatchMs(f.plans));
+  }
+  f.estimator.set_thread_pool(nullptr);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.plans.size()));
+}
+BENCHMARK(BM_PredictBatchCold)->Unit(benchmark::kMillisecond);
+
+// The packed f32 teacher path: same workload, pool and cache setup as
+// BM_PredictBatchCold, pinned to f32 (every teacher miss is packed), so
+// packed_f32_vs_perplan_speedup is a pure path ratio.
+void BM_PredictBatchPackedF32(benchmark::State& state) {
+  Fixture& f = GetFixture();
+  ScopedPrecision pin(nn::kernel::Precision::kF32);
+  ThreadPool pool(1);
+  f.estimator.set_thread_pool(&pool);
+  f.estimator.set_prediction_cache_capacity(0);
   benchmark::DoNotOptimize(f.estimator.PredictBatchMs(f.plans));  // warm-up
   const size_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
@@ -414,7 +416,6 @@ void PredictBatchPacked(benchmark::State& state, nn::kernel::Precision prec) {
   }
   const size_t allocs = g_heap_allocs.load(std::memory_order_relaxed) -
                         allocs_before;
-  f.estimator.set_packed_inference(core::DaceEstimator::DefaultPackedMode());
   f.estimator.set_thread_pool(nullptr);
   state.counters["allocs/plan"] = benchmark::Counter(
       static_cast<double>(allocs) /
@@ -422,15 +423,6 @@ void PredictBatchPacked(benchmark::State& state, nn::kernel::Precision prec) {
        static_cast<double>(f.plans.size())));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.plans.size()));
-}
-
-void BM_PredictBatchPackedF64(benchmark::State& state) {
-  PredictBatchPacked(state, nn::kernel::Precision::kF64);
-}
-BENCHMARK(BM_PredictBatchPackedF64)->Unit(benchmark::kMillisecond);
-
-void BM_PredictBatchPackedF32(benchmark::State& state) {
-  PredictBatchPacked(state, nn::kernel::Precision::kF32);
 }
 BENCHMARK(BM_PredictBatchPackedF32)->Unit(benchmark::kMillisecond);
 
@@ -816,10 +808,6 @@ int main(int argc, char** argv) {
                    "BM_MatMulSimd/128");
   AddSpeedupRecord("predict_cache_hit_speedup", "BM_PredictBatchCold",
                    "BM_PredictBatchCacheHit");
-  AddSpeedupRecord("packed_vs_perplan_speedup", "BM_PredictBatchCold",
-                   "BM_PredictBatchPackedF64");
-  AddSpeedupRecord("f32_vs_f64_speedup", "BM_PredictBatchPackedF64",
-                   "BM_PredictBatchPackedF32");
   AddSpeedupRecord("packed_f32_vs_perplan_speedup", "BM_PredictBatchCold",
                    "BM_PredictBatchPackedF32");
   AddSpeedupRecord("student_vs_teacher_speedup", "BM_PredictBatchPackedF32",

@@ -501,42 +501,17 @@ double DaceModel::PredictRoot(const PlanFeatures& f) const {
 void DaceModel::PredictPackedInto(
     std::span<const PlanFeatures* const> feats, PackedWorkspace* ws,
     std::vector<double>* roots) const {
-  roots->resize(feats.size());
-  if (feats.empty()) return;
-  ws->layout.Clear();
-  ws->masks.clear();
-  for (const PlanFeatures* f : feats) {
-    ws->layout.Add(f->node_features.rows());
-    ws->masks.push_back(&f->attention_mask);
-  }
-  // kI8 selects the student-tier kernels; the teacher has no int8 image, so
-  // it serves its fastest path (the folded f32 weights) under kI8 too.
-  if (nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64) {
-    ForwardPackedF32(feats, ws, roots);
-  } else {
-    ForwardPackedF64(feats, ws, roots);
-  }
+  ForwardPackedF32(feats, /*all_rows=*/false, ws, roots);
 }
 
-void DaceModel::ForwardPackedF64(std::span<const PlanFeatures* const> feats,
-                                 PackedWorkspace* ws,
-                                 std::vector<double>* roots) const {
-  const nn::PackLayout& layout = ws->layout;
-  const size_t rows = layout.total_rows;
-  const size_t dm = static_cast<size_t>(config_.d_model);
-  if (ws->s.rows() != rows || ws->s.cols() != dm) ws->s = Matrix(rows, dm);
+void DaceModel::PredictPackedAllInto(
+    std::span<const PlanFeatures* const> feats, PackedWorkspace* ws,
+    std::vector<std::vector<double>>* rows) const {
+  ForwardPackedF32(feats, /*all_rows=*/true, ws, &ws->heads);
+  rows->resize(feats.size());
   for (size_t b = 0; b < feats.size(); ++b) {
-    const Matrix& nf = feats[b]->node_features;
-    std::memcpy(ws->s.RowPtr(layout.offset[b]), nf.data(),
-                nf.size() * sizeof(double));
-  }
-  attention_.ForwardPackedCached(ws->s, layout, ws->masks.data(), &ws->attn_c,
-                                 &ws->attn);
-  fc1_.ForwardPackedCached(ws->attn, &ws->fc1_c, &ws->z1, &ws->h1);
-  fc2_.ForwardPackedCached(ws->h1, &ws->fc2_c, &ws->z2, &ws->h2);
-  fc3_.ForwardPackedCached(ws->h2, &ws->fc3_c, &ws->pred, nullptr);
-  for (size_t b = 0; b < feats.size(); ++b) {
-    (*roots)[b] = ws->pred(layout.offset[b], 0);
+    const double* head = ws->heads.data() + ws->layout.offset[b];
+    (*rows)[b].assign(head, head + ws->layout.n[b]);
   }
 }
 
@@ -576,13 +551,17 @@ void DaceModel::EnsureF32Weights() const {
 }
 
 void DaceModel::ForwardPackedF32(std::span<const PlanFeatures* const> feats,
-                                 PackedWorkspace* ws,
-                                 std::vector<double>* roots) const {
+                                 bool all_rows, PackedWorkspace* ws,
+                                 std::vector<double>* out) const {
+  out->clear();
+  if (feats.empty()) return;
   DACE_CHECK_EQ(f32_.version, weights_version_)
       << "f32 packed inference with stale folded weights: EnsureF32Weights "
          "must run after every weight mutation";
   const nn::kernel::TableF32& t = nn::kernel::ActiveF32();
-  const nn::PackLayout& layout = ws->layout;
+  nn::PackLayout& layout = ws->layout;
+  layout.Clear();
+  for (const PlanFeatures* f : feats) layout.Add(f->node_features.rows());
   const size_t count = feats.size();
   const size_t rows = layout.total_rows;
   const size_t maxn = layout.max_nodes;
@@ -592,14 +571,16 @@ void DaceModel::ForwardPackedF32(std::span<const PlanFeatures* const> feats,
   const size_t n1 = static_cast<size_t>(config_.hidden1);
   const size_t n2 = static_cast<size_t>(config_.hidden2);
 
-  // Only the ROOT prediction of each block leaves this function, and the MLP
-  // is row-wise, so everything downstream of K/V runs on one row per plan:
-  // Q, scores, softmax and context for the root row only, then a
-  // (count × ·) MLP instead of a (total_rows × ·) one. K and V are the only
-  // full-pack tensors — every packed row is a softmax candidate for its
-  // block's root. (The f64 path prices all rows to stay bit-identical to
-  // PredictAllInto; this path's contract is the DESIGN §13 error budget, not
-  // bit-identity, so it is free to skip rows nobody reads.)
+  // K and V are the only full-pack tensors: every packed row is a softmax
+  // candidate for its block's queries. The queries are the block's root row
+  // when only the root prediction leaves this function (the MLP is
+  // row-wise, so Q, scores, softmax, context and MLP then run on one row
+  // per plan), or every row of the block for all-rows output. Block b's
+  // queries occupy rows [qoff(b), qoff(b) + qn(b)) of the query-side tiles.
+  const auto qn = [&](size_t b) { return all_rows ? layout.n[b] : 1; };
+  const auto qoff = [&](size_t b) { return all_rows ? layout.offset[b] : b; };
+  const size_t qrows = all_rows ? rows : count;
+  out->resize(qrows);
 
   // Packed feature tile, narrowed from the featurizer's doubles (linear in
   // the input; a rounding error far below the kernel error budget).
@@ -611,183 +592,53 @@ void DaceModel::ForwardPackedF32(std::span<const PlanFeatures* const> feats,
     float* dst = ws->s32.data() + off * dm;
     for (size_t i = 0; i < nb * dm; ++i) dst[i] = static_cast<float>(src[i]);
   }
-  // Root-row additive mask, one row per block, column-padded to maxn.
-  ws->mask32.resize(count * maxn);
+  // Additive mask rows of the queries, column-padded to maxn.
+  ws->mask32.resize(qrows * maxn);
   for (size_t b = 0; b < count; ++b) {
     const size_t nb = layout.n[b];
-    const double* mrow = feats[b]->attention_mask.RowPtr(0);
-    float* mdst = ws->mask32.data() + b * maxn;
-    for (size_t j = 0; j < nb; ++j) mdst[j] = static_cast<float>(mrow[j]);
+    for (size_t i = 0; i < qn(b); ++i) {
+      const double* mrow = feats[b]->attention_mask.RowPtr(i);
+      float* mdst = ws->mask32.data() + (qoff(b) + i) * maxn;
+      for (size_t j = 0; j < nb; ++j) mdst[j] = static_cast<float>(mrow[j]);
+    }
   }
 
-  // K/V over the whole pack, Q for the root rows only. Feature rows are
-  // sparse (one-hot node type + two scalars), so the zero-skipping panel
-  // kernel beats a dense GEMM on all three projections.
+  // K/V over the whole pack, Q for the query rows. Feature rows are sparse
+  // (one-hot node type + two scalars), so the zero-skipping panel kernel
+  // beats a dense GEMM on all three projections; it prices each row on its
+  // own, so no row's value depends on its neighbours.
   ws->k32.assign(rows * dk, 0.0f);
   ws->v32.assign(rows * dv, 0.0f);
-  ws->q32.assign(count * dk, 0.0f);
+  ws->q32.assign(qrows * dk, 0.0f);
   t.mm_panel(ws->s32.data(), dm, f32_.wk.data(), dk, ws->k32.data(), dk, rows,
              0, dm, 0, dk);
   t.mm_panel(ws->s32.data(), dm, f32_.wv.data(), dv, ws->v32.data(), dv, rows,
              0, dm, 0, dv);
   for (size_t b = 0; b < count; ++b) {
     t.mm_panel(ws->s32.data() + layout.offset[b] * dm, dm, f32_.wq.data(), dk,
-               ws->q32.data() + b * dk, dk, 1, 0, dm, 0, dk);
+               ws->q32.data() + qoff(b) * dk, dk, qn(b), 0, dm, 0, dk);
   }
 
-  // Root-row scores + fused masked softmax, one row per block. kMaskNegInf
-  // (-1e30) is exactly representable in float and the additive mask values
-  // are 0/-1e30, so the f32 masking semantics match the f64 path exactly.
+  // Query scores + fused masked softmax against the block's keys.
+  // kMaskNegInf (-1e30) is exactly representable in float and the additive
+  // mask values are 0/-1e30, so the f32 masking semantics match the f64
+  // path exactly.
   const float neg_inf = static_cast<float>(nn::kMaskNegInf);
-  ws->scores32.resize(count * maxn);
-  ws->probs32.resize(count * maxn);
+  ws->scores32.resize(qrows * maxn);
+  ws->probs32.resize(qrows * maxn);
   for (size_t b = 0; b < count; ++b) {
     const size_t off = layout.offset[b];
     const size_t nb = layout.n[b];
-    float* srow = ws->scores32.data() + b * maxn;
-    const float* qrow = ws->q32.data() + b * dk;
-    for (size_t j = 0; j < nb; ++j) {
-      srow[j] = t.dot(dk, qrow, ws->k32.data() + (off + j) * dk);
-    }
-    t.scale(nb, f32_.inv_sqrt_dk, srow);
-    const float* mrow = ws->mask32.data() + b * maxn;
-    float* prow = ws->probs32.data() + b * maxn;
-    const float max_val = t.masked_max(nb, srow, mrow, neg_inf);
-    DACE_CHECK_GT(max_val, neg_inf)
-        << "packed softmax root row of block " << b << " fully masked";
-    const float denom = t.masked_exp(nb, srow, mrow, max_val, neg_inf, prow);
-    t.div(nb, denom, prow);
-  }
-
-  // Root context rows: probs_root · V_block. Masked probabilities are
-  // exactly 0.0f, so the zero-skip kernel prices only the root's unmasked
-  // ancestor set.
-  ws->attn32.assign(count * dv, 0.0f);
-  for (size_t b = 0; b < count; ++b) {
-    t.mm_panel(ws->probs32.data() + b * maxn, maxn,
-               ws->v32.data() + layout.offset[b] * dv, dv,
-               ws->attn32.data() + b * dv, dv, 1, 0, layout.n[b], 0, dv);
-  }
-
-  // Root MLP across the pack: bias-seeded dense GEMM + in-place ReLU
-  // epilogue, count rows tall. This is where the register-blocked f32 GEMM
-  // earns its keep — every plan in the pack shares the instruction stream.
-  ws->z132.resize(count * n1);
-  for (size_t i = 0; i < count; ++i) {
-    std::memcpy(ws->z132.data() + i * n1, f32_.b1.data(), n1 * sizeof(float));
-  }
-  t.gemm(ws->attn32.data(), dv, f32_.w1.data(), n1, ws->z132.data(), n1,
-         count, dv, n1);
-  t.relu(count * n1, ws->z132.data(), ws->z132.data());
-  ws->z232.resize(count * n2);
-  for (size_t i = 0; i < count; ++i) {
-    std::memcpy(ws->z232.data() + i * n2, f32_.b2.data(), n2 * sizeof(float));
-  }
-  t.gemm(ws->z132.data(), n1, f32_.w2.data(), n2, ws->z232.data(), n2, count,
-         n1, n2);
-  t.relu(count * n2, ws->z232.data(), ws->z232.data());
-
-  // Head: one dot per plan.
-  const float b3 = f32_.b3[0];
-  for (size_t b = 0; b < count; ++b) {
-    const float* hrow = ws->z232.data() + b * n2;
-    (*roots)[b] = static_cast<double>(b3 + t.dot(n2, hrow, f32_.w3.data()));
-  }
-}
-
-void DaceModel::PredictPackedAllInto(
-    std::span<const PlanFeatures* const> feats, PackedWorkspace* ws,
-    std::vector<std::vector<double>>* rows) const {
-  rows->resize(feats.size());
-  if (feats.empty()) return;
-  ws->layout.Clear();
-  ws->masks.clear();
-  for (const PlanFeatures* f : feats) {
-    ws->layout.Add(f->node_features.rows());
-    ws->masks.push_back(&f->attention_mask);
-  }
-  if (nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64) {
-    ForwardPackedAllF32(feats, ws, rows);
-    return;
-  }
-  // The packed f64 body already prices EVERY row (that is what keeps it
-  // bit-identical to PredictAllInto) — all-rows extraction is free.
-  ws->roots_scratch.resize(feats.size());
-  ForwardPackedF64(feats, ws, &ws->roots_scratch);
-  for (size_t b = 0; b < feats.size(); ++b) {
-    const size_t off = ws->layout.offset[b];
-    const size_t nb = ws->layout.n[b];
-    std::vector<double>& r = (*rows)[b];
-    r.resize(nb);
-    for (size_t j = 0; j < nb; ++j) r[j] = ws->pred(off + j, 0);
-  }
-}
-
-void DaceModel::ForwardPackedAllF32(
-    std::span<const PlanFeatures* const> feats, PackedWorkspace* ws,
-    std::vector<std::vector<double>>* rows) const {
-  DACE_CHECK_EQ(f32_.version, weights_version_)
-      << "f32 packed inference with stale folded weights: EnsureF32Weights "
-         "must run after every weight mutation";
-  const nn::kernel::TableF32& t = nn::kernel::ActiveF32();
-  const nn::PackLayout& layout = ws->layout;
-  const size_t count = feats.size();
-  const size_t nrows = layout.total_rows;
-  const size_t maxn = layout.max_nodes;
-  const size_t dm = static_cast<size_t>(config_.d_model);
-  const size_t dk = static_cast<size_t>(config_.d_k);
-  const size_t dv = static_cast<size_t>(config_.d_v);
-  const size_t n1 = static_cast<size_t>(config_.hidden1);
-  const size_t n2 = static_cast<size_t>(config_.hidden2);
-
-  // All-rows twin of ForwardPackedF32: every packed row is both a softmax
-  // candidate AND a softmax query, so Q/scores/softmax/context/MLP all run
-  // at total_rows height instead of one row per plan.
-  ws->s32.resize(nrows * dm);
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    const double* src = feats[b]->node_features.data();
-    float* dst = ws->s32.data() + off * dm;
-    for (size_t i = 0; i < nb * dm; ++i) dst[i] = static_cast<float>(src[i]);
-  }
-  // Full additive masks, each block's rows column-padded to maxn.
-  ws->mask32.resize(nrows * maxn);
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    for (size_t i = 0; i < nb; ++i) {
-      const double* mrow = feats[b]->attention_mask.RowPtr(i);
-      float* mdst = ws->mask32.data() + (off + i) * maxn;
-      for (size_t j = 0; j < nb; ++j) mdst[j] = static_cast<float>(mrow[j]);
-    }
-  }
-
-  ws->q32.assign(nrows * dk, 0.0f);
-  ws->k32.assign(nrows * dk, 0.0f);
-  ws->v32.assign(nrows * dv, 0.0f);
-  t.mm_panel(ws->s32.data(), dm, f32_.wq.data(), dk, ws->q32.data(), dk,
-             nrows, 0, dm, 0, dk);
-  t.mm_panel(ws->s32.data(), dm, f32_.wk.data(), dk, ws->k32.data(), dk,
-             nrows, 0, dm, 0, dk);
-  t.mm_panel(ws->s32.data(), dm, f32_.wv.data(), dv, ws->v32.data(), dv,
-             nrows, 0, dm, 0, dv);
-
-  const float neg_inf = static_cast<float>(nn::kMaskNegInf);
-  ws->scores32.resize(nrows * maxn);
-  ws->probs32.resize(nrows * maxn);
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    for (size_t i = 0; i < nb; ++i) {
-      float* srow = ws->scores32.data() + (off + i) * maxn;
-      const float* qrow = ws->q32.data() + (off + i) * dk;
+    for (size_t i = 0; i < qn(b); ++i) {
+      const size_t q = qoff(b) + i;
+      float* srow = ws->scores32.data() + q * maxn;
+      const float* qrow = ws->q32.data() + q * dk;
       for (size_t j = 0; j < nb; ++j) {
         srow[j] = t.dot(dk, qrow, ws->k32.data() + (off + j) * dk);
       }
       t.scale(nb, f32_.inv_sqrt_dk, srow);
-      const float* mrow = ws->mask32.data() + (off + i) * maxn;
-      float* prow = ws->probs32.data() + (off + i) * maxn;
+      const float* mrow = ws->mask32.data() + q * maxn;
+      float* prow = ws->probs32.data() + q * maxn;
       const float max_val = t.masked_max(nb, srow, mrow, neg_inf);
       DACE_CHECK_GT(max_val, neg_inf)
           << "packed softmax row " << i << " of block " << b
@@ -798,42 +649,40 @@ void DaceModel::ForwardPackedAllF32(
     }
   }
 
-  // Per-block context: probs_block (nb × maxn-strided) · V_block (nb × dv).
-  ws->attn32.assign(nrows * dv, 0.0f);
+  // Per-block context: probs (qn × maxn-strided) · V_block (nb × dv). Masked
+  // probabilities are exactly 0.0f, so the zero-skip kernel prices only each
+  // query's unmasked ancestor set.
+  ws->attn32.assign(qrows * dv, 0.0f);
   for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    t.mm_panel(ws->probs32.data() + off * maxn, maxn,
-               ws->v32.data() + off * dv, dv, ws->attn32.data() + off * dv,
-               dv, nb, 0, nb, 0, dv);
+    t.mm_panel(ws->probs32.data() + qoff(b) * maxn, maxn,
+               ws->v32.data() + layout.offset[b] * dv, dv,
+               ws->attn32.data() + qoff(b) * dv, dv, qn(b), 0, layout.n[b], 0,
+               dv);
   }
 
-  // MLP over every packed row.
-  ws->z132.resize(nrows * n1);
-  for (size_t i = 0; i < nrows; ++i) {
+  // MLP across the pack: bias-seeded dense GEMM + in-place ReLU epilogue,
+  // qrows tall. This is where the register-blocked f32 GEMM earns its keep —
+  // every plan in the pack shares the instruction stream.
+  ws->z132.resize(qrows * n1);
+  for (size_t i = 0; i < qrows; ++i) {
     std::memcpy(ws->z132.data() + i * n1, f32_.b1.data(), n1 * sizeof(float));
   }
   t.gemm(ws->attn32.data(), dv, f32_.w1.data(), n1, ws->z132.data(), n1,
-         nrows, dv, n1);
-  t.relu(nrows * n1, ws->z132.data(), ws->z132.data());
-  ws->z232.resize(nrows * n2);
-  for (size_t i = 0; i < nrows; ++i) {
+         qrows, dv, n1);
+  t.relu(qrows * n1, ws->z132.data(), ws->z132.data());
+  ws->z232.resize(qrows * n2);
+  for (size_t i = 0; i < qrows; ++i) {
     std::memcpy(ws->z232.data() + i * n2, f32_.b2.data(), n2 * sizeof(float));
   }
-  t.gemm(ws->z132.data(), n1, f32_.w2.data(), n2, ws->z232.data(), n2, nrows,
+  t.gemm(ws->z132.data(), n1, f32_.w2.data(), n2, ws->z232.data(), n2, qrows,
          n1, n2);
-  t.relu(nrows * n2, ws->z232.data(), ws->z232.data());
+  t.relu(qrows * n2, ws->z232.data(), ws->z232.data());
 
+  // Head: one dot per query row.
   const float b3 = f32_.b3[0];
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    std::vector<double>& r = (*rows)[b];
-    r.resize(nb);
-    for (size_t j = 0; j < nb; ++j) {
-      const float* hrow = ws->z232.data() + (off + j) * n2;
-      r[j] = static_cast<double>(b3 + t.dot(n2, hrow, f32_.w3.data()));
-    }
+  for (size_t q = 0; q < qrows; ++q) {
+    const float* hrow = ws->z232.data() + q * n2;
+    (*out)[q] = static_cast<double>(b3 + t.dot(n2, hrow, f32_.w3.data()));
   }
 }
 
@@ -1058,20 +907,6 @@ void DaceEstimator::set_thread_pool(ThreadPool* pool) {
   // Worker scratch is re-sized for the new pool on the next batch call.
   batch_scratch_.clear();
   pack_scratch_.clear();
-}
-
-DaceEstimator::PackedMode DaceEstimator::DefaultPackedMode() {
-  static const PackedMode mode = [] {
-    const char* env = std::getenv("DACE_PACKED");
-    if (env == nullptr || env[0] == '\0') return PackedMode::kAuto;
-    if (std::strcmp(env, "auto") == 0) return PackedMode::kAuto;
-    if (std::strcmp(env, "on") == 0) return PackedMode::kOn;
-    if (std::strcmp(env, "off") == 0) return PackedMode::kOff;
-    DACE_CHECK(false) << "unknown DACE_PACKED value '" << env
-                      << "' (expected 'auto', 'on' or 'off')";
-    return PackedMode::kAuto;
-  }();
-  return mode;
 }
 
 DaceEstimator::TierMode DaceEstimator::DefaultTierMode() {
@@ -1319,36 +1154,34 @@ void DaceEstimator::PredictBatchMsInto(
     }
     if (!to_teacher->empty()) {
       const uint64_t tier_t0_us = LatencyNowUs();
-      const bool use_packed =
-          packed_mode_ == PackedMode::kOn ||
-          (packed_mode_ == PackedMode::kAuto && to_teacher->size() >= 2);
-      if (use_packed) {
-        PredictPackedBatch(plans, *to_teacher, cs.fps, version, fc, out);
-      } else {
-        pool->ParallelForWorker(0, to_teacher->size(), [&](int slot,
-                                                           size_t mi) {
-          const size_t i = (*to_teacher)[mi];
-          const uint64_t t0_us = LatencyNowUs();
-          BatchScratch& s = batch_scratch_[static_cast<size_t>(slot)];
-          {
-            DACE_TRACE_SPAN("predict.featurize");
-            featurizer_.FeaturizeInto(*plans[i], fc, &s.feats, &s.fscratch);
-          }
-          {
-            DACE_TRACE_SPAN("predict.forward");
-            model_.PredictAllInto(s.feats, &s.ws, &s.preds);
-          }
+      if (nn::kernel::ActivePrecision() == nn::kernel::Precision::kF64) {
+        RunPerPlan(plans, *to_teacher, fc,
+                   [&](BatchScratch& s, size_t i, uint64_t t0_us) {
           {
             DACE_TRACE_SPAN("predict.inverse_transform");
             (*out)[i] = featurizer_.InverseTransformTime(s.preds[0]);
           }
           prediction_cache_->Insert(version, cs.fps[i], (*out)[i]);
-          const size_t n = plans[i]->size();
-          s.used_nodes = std::max(s.used_nodes, n);
-          s.alloc_nodes = std::max(s.alloc_nodes, n);
           PredictionsCounter()->Add(1);
           PredictLatencyUsHistogram()->Observe(
               static_cast<double>(LatencyNowUs() - t0_us));
+        });
+      } else {
+        RunPacks(plans, *to_teacher, fc, /*all_rows=*/false,
+                 [&](PackScratch& s, std::span<const size_t> pack,
+                     uint64_t t0_us) {
+          for (size_t j = 0; j < pack.size(); ++j) {
+            const double ms = featurizer_.InverseTransformTime(s.roots[j]);
+            (*out)[pack[j]] = ms;
+            prediction_cache_->Insert(version, cs.fps[pack[j]], ms);
+          }
+          // Per-plan latency on the packed path is the pack's wall time:
+          // that is what each caller of the coalesced batch experienced.
+          const double elapsed = static_cast<double>(LatencyNowUs() - t0_us);
+          PredictionsCounter()->Add(pack.size());
+          for (size_t j = 0; j < pack.size(); ++j) {
+            PredictLatencyUsHistogram()->Observe(elapsed);
+          }
         });
       }
       if (student != nullptr) {
@@ -1365,27 +1198,52 @@ void DaceEstimator::PredictBatchMsInto(
   GovernScratch();
 }
 
-void DaceEstimator::PredictPackedBatch(
-    std::span<const plan::QueryPlan* const> plans,
-    const std::vector<size_t>& misses, const std::vector<uint64_t>& fps,
-    uint64_t version, const featurize::FeaturizerConfig& fc,
-    std::vector<double>* out) const {
+template <typename ConsumeFn>
+void DaceEstimator::RunPerPlan(std::span<const plan::QueryPlan* const> plans,
+                               std::span<const size_t> indices,
+                               const featurize::FeaturizerConfig& fc,
+                               ConsumeFn consume) const {
+  ThreadPool* pool = model_.thread_pool();
+  if (batch_scratch_.size() < static_cast<size_t>(pool->num_threads())) {
+    batch_scratch_.resize(static_cast<size_t>(pool->num_threads()));
+  }
+  pool->ParallelForWorker(0, indices.size(), [&](int slot, size_t k) {
+    const size_t i = indices[k];
+    const uint64_t t0_us = LatencyNowUs();
+    BatchScratch& s = batch_scratch_[static_cast<size_t>(slot)];
+    {
+      DACE_TRACE_SPAN("predict.featurize");
+      featurizer_.FeaturizeInto(*plans[i], fc, &s.feats, &s.fscratch);
+    }
+    {
+      DACE_TRACE_SPAN("predict.forward");
+      model_.PredictAllInto(s.feats, &s.ws, &s.preds);
+    }
+    const size_t n = plans[i]->size();
+    s.used_nodes = std::max(s.used_nodes, n);
+    s.alloc_nodes = std::max(s.alloc_nodes, n);
+    consume(s, i, t0_us);
+  });
+}
+
+template <typename ConsumeFn>
+void DaceEstimator::RunPacks(std::span<const plan::QueryPlan* const> plans,
+                             std::span<const size_t> indices,
+                             const featurize::FeaturizerConfig& fc,
+                             bool all_rows, ConsumeFn consume) const {
   ThreadPool* pool = model_.thread_pool();
   if (pack_scratch_.size() < static_cast<size_t>(pool->num_threads())) {
     pack_scratch_.resize(static_cast<size_t>(pool->num_threads()));
   }
-  if (nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64) {
-    // Fold once on the coordinator; the packs only read the image. (kI8 is
-    // a student-tier precision — the teacher serves its f32 image there.)
-    model_.EnsureF32Weights();
-  }
-  // Sort misses by descending node count so each pack holds similarly sized
-  // plans: the score tiles are column-padded to the pack's max_nodes, so
-  // mixing one deep plan with many shallow ones is what craters occupancy.
-  // Plain sort with an index tie-break — same order a stable_sort would
-  // produce, without stable_sort's temporary buffer allocation.
+  // Fold once on the coordinator; the packs only read the image.
+  model_.EnsureF32Weights();
+  // Sort by descending node count so each pack holds similarly sized plans:
+  // the score tiles are column-padded to the pack's max_nodes, so mixing one
+  // deep plan with many shallow ones is what craters occupancy. Plain sort
+  // with an index tie-break — same order a stable_sort would produce,
+  // without stable_sort's temporary buffer allocation.
   std::vector<size_t>& order = call_scratch_.order;
-  order.assign(misses.begin(), misses.end());
+  order.assign(indices.begin(), indices.end());
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     const size_t na = plans[a]->size();
     const size_t nb = plans[b]->size();
@@ -1398,27 +1256,25 @@ void DaceEstimator::PredictPackedBatch(
     const uint64_t t0_us = LatencyNowUs();
     PackScratch& s = pack_scratch_[static_cast<size_t>(slot)];
     const size_t lo = p * kPackMaxPlans;
-    const size_t hi = std::min(lo + kPackMaxPlans, order.size());
-    const size_t count = hi - lo;
+    const size_t count = std::min(kPackMaxPlans, order.size() - lo);
+    const std::span<const size_t> pack(order.data() + lo, count);
     if (s.feats.size() < count) s.feats.resize(count);
     s.feat_ptrs.clear();
     {
       DACE_TRACE_SPAN("predict.featurize");
       for (size_t j = 0; j < count; ++j) {
-        featurizer_.FeaturizeInto(*plans[order[lo + j]], fc, &s.feats[j],
+        featurizer_.FeaturizeInto(*plans[pack[j]], fc, &s.feats[j],
                                   &s.fscratch);
         s.feat_ptrs.push_back(&s.feats[j]);
       }
     }
     {
       DACE_TRACE_SPAN("predict.forward");
-      model_.PredictPackedInto(s.feat_ptrs, &s.ws, &s.roots);
-    }
-    for (size_t j = 0; j < count; ++j) {
-      const size_t idx = order[lo + j];
-      const double ms = featurizer_.InverseTransformTime(s.roots[j]);
-      (*out)[idx] = ms;
-      prediction_cache_->Insert(version, fps[idx], ms);
+      if (all_rows) {
+        model_.PredictPackedAllInto(s.feat_ptrs, &s.ws, &s.rows);
+      } else {
+        model_.PredictPackedInto(s.feat_ptrs, &s.ws, &s.roots);
+      }
     }
     const nn::PackLayout& layout = s.ws.layout;
     s.used_nodes = std::max(s.used_nodes, layout.max_nodes);
@@ -1432,13 +1288,7 @@ void DaceEstimator::PredictPackedBatch(
         cells > 0 ? static_cast<double>(layout.total_rows) /
                         static_cast<double>(cells)
                   : 1.0);
-    // Per-plan latency on the packed path is the pack's wall time: that is
-    // what each caller of the coalesced batch experienced for its plan.
-    const double elapsed = static_cast<double>(LatencyNowUs() - t0_us);
-    PredictionsCounter()->Add(count);
-    for (size_t j = 0; j < count; ++j) {
-      PredictLatencyUsHistogram()->Observe(elapsed);
-    }
+    consume(s, pack, t0_us);
   });
 }
 
@@ -1462,6 +1312,7 @@ void DaceEstimator::GovernScratch() const {
       s.feat_ptrs = std::vector<const featurize::PlanFeatures*>();
       s.ws = DaceModel::PackedWorkspace();
       s.roots = std::vector<double>();
+      s.rows = std::vector<std::vector<double>>();
       s.alloc_nodes = 0;
       ScratchShrinksCounter()->Add(1);
     }
@@ -1498,83 +1349,28 @@ std::vector<std::vector<double>> DaceEstimator::PredictSubPlansBatchMs(
   DACE_CHECK(featurizer_.fitted())
       << "DaceEstimator::PredictSubPlansBatchMs called before the estimator "
          "was trained: call Train() or LoadFromFile() first";
-  ThreadPool* pool = model_.thread_pool();
   const featurize::FeaturizerConfig fc = FeatConfig();
-  const bool use_packed =
-      packed_mode_ == PackedMode::kOn ||
-      (packed_mode_ == PackedMode::kAuto && plans.size() >= 2);
-  if (!use_packed) {
-    if (batch_scratch_.size() < static_cast<size_t>(pool->num_threads())) {
-      batch_scratch_.resize(static_cast<size_t>(pool->num_threads()));
+  // Uncached, so every plan is priced: the whole batch is the index set.
+  std::vector<size_t>& all = call_scratch_.misses;
+  all.resize(plans.size());
+  std::iota(all.begin(), all.end(), 0);
+  const auto to_ms = [&](const std::vector<double>& scaled,
+                         std::vector<double>* ms) {
+    ms->resize(scaled.size());
+    for (size_t j = 0; j < scaled.size(); ++j) {
+      (*ms)[j] = featurizer_.InverseTransformTime(scaled[j]);
     }
-    pool->ParallelForWorker(0, plans.size(), [&](int slot, size_t i) {
-      BatchScratch& s = batch_scratch_[static_cast<size_t>(slot)];
-      featurizer_.FeaturizeInto(*plans[i], fc, &s.feats, &s.fscratch);
-      model_.PredictAllInto(s.feats, &s.ws, &s.preds);
-      std::vector<double>& r = out[i];
-      r.resize(s.preds.size());
-      for (size_t j = 0; j < s.preds.size(); ++j) {
-        r[j] = featurizer_.InverseTransformTime(s.preds[j]);
-      }
-      const size_t n = plans[i]->size();
-      s.used_nodes = std::max(s.used_nodes, n);
-      s.alloc_nodes = std::max(s.alloc_nodes, n);
+  };
+  if (nn::kernel::ActivePrecision() == nn::kernel::Precision::kF64) {
+    RunPerPlan(plans, all, fc, [&](BatchScratch& s, size_t i, uint64_t) {
+      to_ms(s.preds, &out[i]);
     });
-    GovernScratch();
-    return out;
+  } else {
+    RunPacks(plans, all, fc, /*all_rows=*/true,
+             [&](PackScratch& s, std::span<const size_t> pack, uint64_t) {
+      for (size_t j = 0; j < pack.size(); ++j) to_ms(s.rows[j], &out[pack[j]]);
+    });
   }
-  if (pack_scratch_.size() < static_cast<size_t>(pool->num_threads())) {
-    pack_scratch_.resize(static_cast<size_t>(pool->num_threads()));
-  }
-  if (nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64) {
-    model_.EnsureF32Weights();
-  }
-  // Same size-sorted packing as the root-only path (PredictPackedBatch).
-  std::vector<size_t>& order = call_scratch_.order;
-  order.resize(plans.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const size_t na = plans[a]->size();
-    const size_t nb = plans[b]->size();
-    if (na != nb) return na > nb;
-    return a < b;
-  });
-  const size_t num_packs = (order.size() + kPackMaxPlans - 1) / kPackMaxPlans;
-  pool->ParallelForWorker(0, num_packs, [&](int slot, size_t p) {
-    DACE_TRACE_SPAN("predict.pack");
-    PackScratch& s = pack_scratch_[static_cast<size_t>(slot)];
-    const size_t lo = p * kPackMaxPlans;
-    const size_t hi = std::min(lo + kPackMaxPlans, order.size());
-    const size_t count = hi - lo;
-    if (s.feats.size() < count) s.feats.resize(count);
-    s.feat_ptrs.clear();
-    for (size_t j = 0; j < count; ++j) {
-      featurizer_.FeaturizeInto(*plans[order[lo + j]], fc, &s.feats[j],
-                                &s.fscratch);
-      s.feat_ptrs.push_back(&s.feats[j]);
-    }
-    model_.PredictPackedAllInto(s.feat_ptrs, &s.ws, &s.rows);
-    for (size_t j = 0; j < count; ++j) {
-      const size_t idx = order[lo + j];
-      std::vector<double>& r = out[idx];
-      r.resize(s.rows[j].size());
-      for (size_t v = 0; v < s.rows[j].size(); ++v) {
-        r[v] = featurizer_.InverseTransformTime(s.rows[j][v]);
-      }
-    }
-    const nn::PackLayout& layout = s.ws.layout;
-    s.used_nodes = std::max(s.used_nodes, layout.max_nodes);
-    s.alloc_nodes = std::max(s.alloc_nodes, layout.max_nodes);
-    PackPacksCounter()->Add(1);
-    PackPlansCounter()->Add(count);
-    PackRowsValidCounter()->Add(layout.total_rows);
-    const size_t cells = count * layout.max_nodes;
-    PackRowsPaddedCounter()->Add(cells - layout.total_rows);
-    PackOccupancyHistogram()->Observe(
-        cells > 0 ? static_cast<double>(layout.total_rows) /
-                        static_cast<double>(cells)
-                  : 1.0);
-  });
   GovernScratch();
   return out;
 }

@@ -163,43 +163,33 @@ class DaceModel {
                       std::vector<double>* out) const;
 
   // Per-worker state for the packed multi-plan inference path: the pack
-  // layout, the f64 packed activation tiles, and (when the f32 precision is
-  // active) the float twins. Reused across packs; buffers reallocate only
-  // when the pack shape grows past what the workspace has seen.
+  // layout and the float activation tiles of the f32 forward. Reused across
+  // packs; buffers reallocate only when the pack shape grows past what the
+  // workspace has seen.
   struct PackedWorkspace {
     using FloatBuffer = std::vector<float, nn::AlignedAllocator<float>>;
     nn::PackLayout layout;
-    std::vector<const nn::Matrix*> masks;
-    // f64 path.
-    nn::TreeAttention::PackedCache attn_c;
-    nn::Linear::ExternalCache fc1_c, fc2_c, fc3_c;
-    nn::Matrix s, attn, z1, h1, z2, h2, pred;
-    // f32 path (sized lazily; empty unless f32 inference ran).
     FloatBuffer s32, mask32, q32, k32, v32, scores32, probs32, attn32, z132,
         z232;
-    // All-rows extension: root sink for PredictPackedAllInto's f64 body
-    // (the f32 all-rows head writes straight into the caller's rows).
-    std::vector<double> roots_scratch;
+    std::vector<double> heads;  // all-rows output, in packed row order
   };
 
-  // Packed batched inference (tentpole): prices every plan of `feats` in ONE
-  // forward pass over a tightly packed tile set, writing each plan's root
-  // scaled-log-time into (*roots)[b]. Dispatches on kernel::ActivePrecision:
-  //   - kF64 runs the packed tile schedule through the same kernels as
-  //     PredictAllInto, bit-identical per plan to the per-plan path;
-  //   - kF32 runs the folded single-precision weight image (EnsureF32Weights
-  //     must have been called since the last weight mutation) through the
-  //     f32 kernel table, within the documented q-error budget (DESIGN §13).
+  // Packed batched inference: prices every plan of `feats` in ONE forward
+  // pass over a tightly packed tile set, writing each plan's root
+  // scaled-log-time into (*roots)[b]. This is the single-precision path: it
+  // runs the folded f32 weight image (EnsureF32Weights must have been called
+  // since the last weight mutation) through the f32 kernel table, within the
+  // documented q-error budget of the f64 reference PredictAllInto (DESIGN
+  // §13). Every row of the pack is computed independently of the others, so
+  // a plan's answer does not depend on which plans share its pack.
   // Const on the weights — concurrent callers bring their own workspace.
   void PredictPackedInto(std::span<const featurize::PlanFeatures* const> feats,
                          PackedWorkspace* ws, std::vector<double>* roots) const;
 
   // All-rows packed inference: like PredictPackedInto, but (*rows)[b] gets
   // every DFS row's scaled-log-time for plan b (sub-plan predictions, index
-  // 0 = root). At kF64 this is free — the packed f64 body already prices
-  // every row — and bit-identical per row to PredictAllInto; the f32 path
-  // runs an all-rows variant of the packed float schedule under the same
-  // accuracy budget as the root-only path.
+  // 0 = root, bit-identical to PredictPackedInto's root). Same f32 forward,
+  // with every packed row a softmax query instead of one row per plan.
   void PredictPackedAllInto(
       std::span<const featurize::PlanFeatures* const> feats,
       PackedWorkspace* ws, std::vector<std::vector<double>>* rows) const;
@@ -281,19 +271,13 @@ class DaceModel {
     float inv_sqrt_dk = 1.0f;
   };
 
-  // f64 / f32 bodies behind PredictPackedInto, after the layout and the
-  // packed feature tiles are assembled.
-  void ForwardPackedF64(
-      std::span<const featurize::PlanFeatures* const> feats,
-      PackedWorkspace* ws, std::vector<double>* roots) const;
-  void ForwardPackedF32(
-      std::span<const featurize::PlanFeatures* const> feats,
-      PackedWorkspace* ws, std::vector<double>* roots) const;
-  // All-rows twin of ForwardPackedF32: Q/scores/softmax/context run for
-  // every packed row instead of one row per plan.
-  void ForwardPackedAllF32(
-      std::span<const featurize::PlanFeatures* const> feats,
-      PackedWorkspace* ws, std::vector<std::vector<double>>* rows) const;
+  // The f32 body behind PredictPackedInto and PredictPackedAllInto. Lays out
+  // `feats` in ws->layout and sets *out to one scaled-log-time per query
+  // row: one row per plan (its root) unless `all_rows`, in which case every
+  // packed row is a query and *out follows the packed row order.
+  void ForwardPackedF32(std::span<const featurize::PlanFeatures* const> feats,
+                        bool all_rows, PackedWorkspace* ws,
+                        std::vector<double>* out) const;
 
   // Fully-parsed weights awaiting validation; nothing in the live model
   // changes until CommitStaged.
@@ -356,9 +340,10 @@ class DaceEstimator : public CostEstimator {
   // Batched inference hot path: featurization + forward fan out across the
   // thread pool, and each worker reuses its scratch (featurization buffers
   // and forward matrices) so the per-plan forward allocates nothing after
-  // warm-up. Results are bit-identical to per-plan PredictMs for any pool
-  // size. Not safe to call concurrently on one estimator (the scratch is
-  // shared); use separate estimators or external serialization.
+  // warm-up. Results are identical for any pool size and, at f64,
+  // bit-identical to per-plan PredictMs. Not safe to call concurrently on
+  // one estimator (the scratch is shared); use separate estimators or
+  // external serialization.
   std::vector<double> PredictBatchMs(
       std::span<const plan::QueryPlan> plans) const override;
 
@@ -366,16 +351,16 @@ class DaceEstimator : public CostEstimator {
   // plans of one coalesced micro-batch live on different callers' stacks, so
   // the batch is described by pointers instead of a contiguous array. Same
   // math, same cache, same determinism guarantees as the span-of-values
-  // overload (which delegates here); results are bit-identical to per-plan
-  // PredictMs. Pointers must stay valid for the duration of the call.
+  // overload (which delegates here). Pointers must stay valid for the
+  // duration of the call.
   //
-  // Cache misses are priced through the packed multi-plan path by default
-  // (see PackedMode): misses are sorted by node count, packed into tile sets
-  // of up to 64 plans, and each pack runs ONE forward pass. At the default
-  // f64 precision the packed results are bit-identical to the per-plan path,
-  // so this is purely a throughput change; DACE_PRECISION=f32 additionally
-  // switches the packs to the single-precision kernel table (documented
-  // accuracy budget, no bit-identity).
+  // Teacher misses are routed by precision alone. At the default f64 each
+  // miss runs the per-plan reference forward (PredictAllInto), bit-identical
+  // to PredictMs. At f32 or i8 every miss, even a lone one, goes through the
+  // packed f32 path: misses are sorted by node count, packed into tile sets
+  // of up to 64 plans, and each pack runs ONE forward pass (documented
+  // accuracy budget, no bit-identity with f64). Either way a plan's answer
+  // does not depend on which other plans share its batch.
   std::vector<double> PredictBatchMs(
       std::span<const plan::QueryPlan* const> plans) const;
 
@@ -383,8 +368,8 @@ class DaceEstimator : public CostEstimator {
   // (resized to plans.size()). This is the actual implementation — both
   // returning overloads delegate here — and the zero-allocation serving
   // contract is measured against it: with a warm estimator, a batch whose
-  // plan shapes have been seen before performs no heap allocation end to
-  // end (asserted by BM_PredictBatch's allocs/plan counter).
+  // plan shapes every worker has seen before performs no heap allocation
+  // end to end (measured by BM_PredictBatch's allocs/plan counter).
   void PredictBatchMsInto(std::span<const plan::QueryPlan* const> plans,
                           std::vector<double>* out) const;
 
@@ -406,25 +391,15 @@ class DaceEstimator : public CostEstimator {
   void set_tier_mode(TierMode mode) { tier_mode_ = mode; }
   TierMode tier_mode() const { return tier_mode_; }
 
-  // Batched all-sub-plan predictions (ms, DFS order per plan) through the
-  // packed multi-plan path — the batched twin of PredictSubPlansMs. Teacher
-  // only (sub-plan rows are a training/analysis surface, not the microsecond
-  // serving tier) and uncached (the prediction cache stores root costs).
-  // At f64 each row is bit-identical to PredictSubPlansMs.
+  // Batched all-sub-plan predictions (ms, DFS order per plan) — the batched
+  // twin of PredictSubPlansMs, with the same precision routing as
+  // PredictBatchMs: per-plan at f64 (each row bit-identical to
+  // PredictSubPlansMs), packed f32 otherwise (row 0 bit-identical to the
+  // plan's teacher answer from PredictBatchMs). Teacher only (sub-plan rows
+  // are a training/analysis surface, not the microsecond serving tier) and
+  // uncached (the prediction cache stores root costs).
   std::vector<std::vector<double>> PredictSubPlansBatchMs(
       std::span<const plan::QueryPlan* const> plans) const;
-
-  // Packed-path dispatch policy for PredictBatchMs cache misses:
-  //   kAuto (default) — packed when a batch has >= 2 misses, per-plan
-  //                     otherwise (a single miss gains nothing from packing);
-  //   kOn             — packed whenever there is at least one miss (tests);
-  //   kOff            — always the per-plan reference path.
-  // Process default is kAuto, overridable by DACE_PACKED=auto|on|off
-  // (resolved once); this setter overrides per estimator.
-  enum class PackedMode { kAuto = 0, kOn = 1, kOff = 2 };
-  static PackedMode DefaultPackedMode();
-  void set_packed_inference(PackedMode mode) { packed_mode_ = mode; }
-  PackedMode packed_inference() const { return packed_mode_; }
 
   // Largest plan (node count) any live inference scratch buffer is currently
   // sized for — the observable the shrink-to-high-watermark policy governs
@@ -485,7 +460,7 @@ class DaceEstimator : public CostEstimator {
   // student, and lineage — and its OWN scratch, cache and RNG (reseeded from
   // config.seed), so the clone can fine-tune on a background thread while
   // the original keeps serving. Name and cache capacity carry over; thread
-  // pool and tier/packed modes are left at the clone's defaults.
+  // pool and tier mode are left at the clone's defaults.
   std::unique_ptr<DaceEstimator> Clone() const;
 
  private:
@@ -561,16 +536,32 @@ class DaceEstimator : public CostEstimator {
     std::vector<size_t> misses;                // indices needing inference
     std::vector<uint8_t> served;               // student kept flags (per miss)
     std::vector<size_t> escalated;             // tier-escalated subset
-    std::vector<size_t> order;                 // packed-path sort buffer
+    std::vector<size_t> order;                 // RunPacks sort buffer
   };
 
-  // Prices `misses` (indices into `plans`) through the packed path, writing
-  // results/cache inserts exactly as the per-plan path would.
-  void PredictPackedBatch(std::span<const plan::QueryPlan* const> plans,
-                          const std::vector<size_t>& misses,
-                          const std::vector<uint64_t>& fps, uint64_t version,
-                          const featurize::FeaturizerConfig& fc,
-                          std::vector<double>* out) const;
+  // The two teacher fan-outs behind PredictBatchMsInto and
+  // PredictSubPlansBatchMs; `indices` select the plans to price.
+  //
+  // RunPerPlan (f64): each pool worker featurizes one plan into its
+  // BatchScratch and runs PredictAllInto, then calls consume(scratch, i,
+  // t0_us) with s.preds holding plan i's scaled rows.
+  //
+  // RunPacks (f32/i8): folds the f32 weights, sorts the plans by descending
+  // node count, cuts them into packs of up to kPackMaxPlans, and on each
+  // worker featurizes one pack into its PackScratch and runs
+  // PredictPackedInto (s.roots) or, with `all_rows`, PredictPackedAllInto
+  // (s.rows); then books the predict.pack.* metrics and calls
+  // consume(scratch, pack, t0_us), where pack[j] is the plan index of slot j.
+  template <typename ConsumeFn>
+  void RunPerPlan(std::span<const plan::QueryPlan* const> plans,
+                  std::span<const size_t> indices,
+                  const featurize::FeaturizerConfig& fc,
+                  ConsumeFn consume) const;
+  template <typename ConsumeFn>
+  void RunPacks(std::span<const plan::QueryPlan* const> plans,
+                std::span<const size_t> indices,
+                const featurize::FeaturizerConfig& fc, bool all_rows,
+                ConsumeFn consume) const;
 
   // Runs the governor over every worker scratch after a batch call.
   void GovernScratch() const;
@@ -592,7 +583,6 @@ class DaceEstimator : public CostEstimator {
   DaceModel model_;
   TrainStats last_train_stats_;
   ThreadPool* pool_ = nullptr;
-  PackedMode packed_mode_ = DefaultPackedMode();
   TierMode tier_mode_ = DefaultTierMode();
   mutable std::vector<BatchScratch> batch_scratch_;
   mutable std::vector<PackScratch> pack_scratch_;

@@ -123,24 +123,6 @@ void Linear::ForwardReluCached(const Matrix& x, ExternalCache* cache,
   ReluInto(*z, h);
 }
 
-void Linear::ForwardPackedCached(const Matrix& x, ExternalCache* cache,
-                                 Matrix* z, Matrix* h) const {
-  DACE_CHECK_EQ(x.cols(), in_dim());
-  if (lora_rank_ == 0) {
-    if (h != nullptr) {
-      MatMulBiasRelu(x, w_.value, b_.value, z, h);
-    } else {
-      MatMulBias(x, w_.value, b_.value, z);
-    }
-    return;
-  }
-  MatMulBias(x, w_.value, b_.value, z);
-  MatMul(x, lora_a_.value, &cache->xa);
-  MatMul(cache->xa, lora_b_.value, &cache->xab);
-  z->AddScaled(cache->xab, lora_scale_);
-  if (h != nullptr) ReluInto(*z, h);
-}
-
 void Linear::InitGradients(Gradients* g) const {
   g->dw = Matrix(w_.value.rows(), w_.value.cols());
   g->db = Matrix(b_.value.rows(), b_.value.cols());
@@ -387,73 +369,6 @@ void TreeAttention::ForwardCached(const Matrix& s, const Matrix& mask,
   cache->scores.Scale(inv_sqrt_dk_);
   MaskedRowSoftmax(cache->scores, mask, &cache->probs);
   MatMul(cache->probs, cache->v, out);
-}
-
-void TreeAttention::ForwardPackedCached(const Matrix& s,
-                                        const PackLayout& layout,
-                                        const Matrix* const* masks,
-                                        PackedCache* cache,
-                                        Matrix* out) const {
-  DACE_CHECK_EQ(s.cols(), wq_.value.rows());
-  DACE_CHECK_EQ(s.rows(), layout.total_rows);
-  const size_t rows = layout.total_rows;
-  const size_t maxn = layout.max_nodes;
-  const size_t dk = wq_.value.cols();
-  const size_t dv = wv_.value.cols();
-
-  // One projection matmul each for the whole pack: rows are plan-
-  // independent, so this is the per-plan tile schedule replayed over every
-  // block at once (bit-identical per row).
-  MatMul(s, wq_.value, &cache->q);
-  MatMul(s, wk_.value, &cache->k);
-  MatMul(s, wv_.value, &cache->v);
-
-  if (cache->scores.rows() != rows || cache->scores.cols() != maxn) {
-    cache->scores = Matrix(rows, maxn);
-    cache->probs = Matrix(rows, maxn);
-  }
-
-  // Fused per-block scores + masked softmax: each row's logits, mask add,
-  // max, exp and normalisation run back-to-back while the row is cache-hot.
-  // Only the first n[b] columns of each padded tile row are ever touched —
-  // the padding columns hold stale garbage by design and no later stage
-  // reads them.
-  const kernel::Table& t = kernel::Active();
-  for (size_t b = 0; b < layout.num_plans(); ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    const Matrix& mask = *masks[b];
-    DACE_CHECK_EQ(mask.rows(), nb);
-    DACE_CHECK_EQ(mask.cols(), nb);
-    for (size_t i = 0; i < nb; ++i) {
-      const double* qrow = cache->q.RowPtr(off + i);
-      double* srow = cache->scores.RowPtr(off + i);
-      for (size_t j = 0; j < nb; ++j) {
-        srow[j] = t.dot(dk, qrow, cache->k.RowPtr(off + j));
-      }
-      t.scale(nb, inv_sqrt_dk_, srow);
-      const double* mrow = mask.RowPtr(i);
-      double* prow = cache->probs.RowPtr(off + i);
-      const double max_val = t.masked_max(nb, srow, mrow, kMaskNegInf);
-      DACE_CHECK_GT(max_val, kMaskNegInf)
-          << "softmax row " << i << " of pack block " << b << " fully masked";
-      const double denom =
-          t.masked_exp(nb, srow, mrow, max_val, kMaskNegInf, prow);
-      t.div(nb, denom, prow);
-    }
-  }
-
-  // Context per block: out_b += probs_b · v_b through the block-view matmul,
-  // which replays MatMul's exact tile schedule over the padded-stride probs
-  // window (padding columns are never read: k stops at n[b]).
-  if (out->rows() != rows || out->cols() != dv) *out = Matrix(rows, dv);
-  out->SetZero();
-  for (size_t b = 0; b < layout.num_plans(); ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    MatMulAccView(cache->probs.RowPtr(off), maxn, nb, nb,
-                  cache->v.RowPtr(off), dv, dv, out->RowPtr(off), dv);
-  }
 }
 
 void TreeAttention::InitGradients(Gradients* g) const {

@@ -105,15 +105,6 @@ class Linear {
   // layer's input), which is why this lives here rather than a fused layer.
   void ForwardReluCached(const Matrix& x, ExternalCache* cache, Matrix* z,
                          Matrix* h) const;
-  // Packed-inference forward: identical math to ForwardReluCached (h
-  // non-null) or ForwardCached (h null, no ReLU epilogue), but `x` holds a
-  // whole pack of plans (rows are plan-independent, so one fused
-  // bias+ReLU-epilogue matmul prices every block at once) and the input is
-  // NOT copied into the cache — there is no backward pass on this path, the
-  // cache serves only as LoRA scratch. Bit-identical per row to the
-  // per-plan cached forwards for any pack shape.
-  void ForwardPackedCached(const Matrix& x, ExternalCache* cache, Matrix* z,
-                           Matrix* h) const;
   void BackwardCached(const ExternalCache& cache, const Matrix& dy, Matrix* dx);
 
   // Caller-owned gradient sink, one per concurrent worker: BackwardCached
@@ -241,23 +232,6 @@ class TreeAttention {
   };
   void ForwardCached(const Matrix& s, const Matrix& mask, Cache* cache,
                      Matrix* out) const;
-  // Packed batched inference over a whole micro-batch of plans: `s` holds
-  // layout.total_rows tightly-packed feature rows, masks[b] is plan b's own
-  // (n[b] × n[b]) additive ancestor mask, and the score/probs tiles are
-  // column-padded to a shared layout.max_nodes stride. The QKV projections
-  // and the per-block context products run through the same tiled kernels as
-  // ForwardCached, and each block's fused masked-softmax sees exactly the
-  // per-plan row values — so at f64 the packed output rows are bit-identical
-  // to running ForwardCached per plan (asserted by layers_test and
-  // serve_differential_test). Inference-only: nothing is kept for backward.
-  struct PackedCache {
-    Matrix q, k, v;      // (total_rows × d_k/d_k/d_v) projections
-    Matrix scores;       // (total_rows × max_nodes) column-padded logits
-    Matrix probs;        // (total_rows × max_nodes) post-softmax attention
-  };
-  void ForwardPackedCached(const Matrix& s, const PackLayout& layout,
-                           const Matrix* const* masks, PackedCache* cache,
-                           Matrix* out) const;
   void InitGradients(Gradients* g) const;
   void BackwardCached(const Cache& cache, const Matrix& dy, Gradients* g,
                       Matrix* ds) const;

@@ -84,8 +84,8 @@ void MatMulBiasImpl(const Matrix& a, const Matrix& b, const Matrix& bias,
   DACE_CHECK_EQ(bias.rows(), 1u);
   DACE_CHECK_EQ(bias.cols(), b.cols());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  if (z->rows() != m || z->cols() != n) *z = Matrix(m, n);
-  if (h != nullptr && (h->rows() != m || h->cols() != n)) *h = Matrix(m, n);
+  if (z->rows() != m || z->cols() != n) z->Resize(m, n);
+  if (h != nullptr && (h->rows() != m || h->cols() != n)) h->Resize(m, n);
   const double* brow = bias.RowPtr(0);
   for (size_t i = 0; i < m; ++i) {
     std::memcpy(z->RowPtr(i), brow, n * sizeof(double));
@@ -107,23 +107,10 @@ void MatMulBiasImpl(const Matrix& a, const Matrix& b, const Matrix& bias,
 
 }  // namespace
 
-void MatMulAccView(const double* a, size_t lda, size_t m, size_t k,
-                   const double* b, size_t ldb, size_t n, double* out,
-                   size_t ldo) {
-  const kernel::Table& t = kernel::Active();
-  for (size_t jj = 0; jj < n; jj += kJc) {
-    const size_t jend = std::min(jj + kJc, n);
-    for (size_t pp = 0; pp < k; pp += kKc) {
-      t.mm_panel(a, lda, b, ldb, out, ldo, m, pp, std::min(pp + kKc, k), jj,
-                 jend);
-    }
-  }
-}
-
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   DACE_CHECK_EQ(a.cols(), b.rows());
   const size_t m = a.rows(), n = b.cols();
-  if (out->rows() != m || out->cols() != n) *out = Matrix(m, n);
+  if (out->rows() != m || out->cols() != n) out->Resize(m, n);
   out->SetZero();
   MatMulBlockedInto(a, b, out);
 }
@@ -149,7 +136,7 @@ void MatMulBiasRelu(const Matrix& a, const Matrix& b, const Matrix& bias,
 void MatMulTransposedB(const Matrix& a, const Matrix& b, Matrix* out) {
   DACE_CHECK_EQ(a.cols(), b.cols());
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  if (out->rows() != m || out->cols() != n) *out = Matrix(m, n);
+  if (out->rows() != m || out->cols() != n) out->Resize(m, n);
   const kernel::Table& t = kernel::Active();
   // j-tiled dot products: a kJb-row panel of b (≤16 KB at k = 128) stays in
   // L1 while every row of a streams against it. Attention's (n×n) score and
@@ -169,7 +156,7 @@ void MatMulTransposedB(const Matrix& a, const Matrix& b, Matrix* out) {
 void MatMulTransposedA(const Matrix& a, const Matrix& b, Matrix* out) {
   DACE_CHECK_EQ(a.rows(), b.rows());
   const size_t m = a.cols(), n = b.cols();
-  if (out->rows() != m || out->cols() != n) *out = Matrix(m, n);
+  if (out->rows() != m || out->cols() != n) out->Resize(m, n);
   out->SetZero();
   MatMulTransposedAAcc(a, b, out);
 }
@@ -192,13 +179,13 @@ void MatMulTransposedAAcc(const Matrix& a, const Matrix& b, Matrix* out) {
 }
 
 void ReluInto(const Matrix& z, Matrix* h) {
-  if (!h->SameShape(z)) *h = Matrix(z.rows(), z.cols());
+  if (!h->SameShape(z)) h->Resize(z.rows(), z.cols());
   kernel::Active().relu(z.size(), z.data(), h->data());
 }
 
 void MaskedRowSoftmax(const Matrix& in, const Matrix& mask, Matrix* out) {
   DACE_CHECK(in.SameShape(mask));
-  if (!out->SameShape(in)) *out = Matrix(in.rows(), in.cols());
+  if (!out->SameShape(in)) out->Resize(in.rows(), in.cols());
   const kernel::Table& t = kernel::Active();
   const size_t n = in.cols();
   for (size_t i = 0; i < in.rows(); ++i) {

@@ -146,16 +146,6 @@ void MatMulBias(const Matrix& a, const Matrix& b, const Matrix& bias,
 void MatMulBiasRelu(const Matrix& a, const Matrix& b, const Matrix& bias,
                     Matrix* z, Matrix* h);
 
-// Raw-pointer block-view variant of MatMulAcc for packed batched inference:
-// out[0..m)[0..n) += a · b where the three operands are (m×k), (k×n), (m×n)
-// windows into larger row-major buffers with leading dimensions lda/ldb/ldo.
-// Runs the exact kKc/kJc tile schedule of MatMul/MatMulAcc, so for any fixed
-// output cell the k-accumulation order — and therefore the result — is
-// bit-identical to a standalone MatMul over copies of the same blocks.
-void MatMulAccView(const double* a, size_t lda, size_t m, size_t k,
-                   const double* b, size_t ldb, size_t n, double* out,
-                   size_t ldo);
-
 // out = a * b^T, shapes (m×k)·(n×k)^T → (m×n). Row-dot-row kernel; the SIMD
 // path uses split accumulators, so results may differ from scalar by a few
 // ULPs (documented in nn/kernels.h).

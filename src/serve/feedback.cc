@@ -24,8 +24,12 @@ FeedbackLedger::FeedbackLedger(size_t capacity)
 uint64_t FeedbackLedger::RecordPrediction(double predicted_ms) {
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[id & mask_];
+  // Invalidate the slot before overwriting its value: a joiner that claimed
+  // the record this write laps and then acquires the new value also sees
+  // the invalidation when it re-validates the id.
+  slot.id.store(kEmpty, std::memory_order_relaxed);
   slot.predicted_bits.store(std::bit_cast<uint64_t>(predicted_ms),
-                            std::memory_order_relaxed);
+                            std::memory_order_release);
   // Release-publish: a joiner that acquires this id also sees the value
   // store above. This plain store is also what laps (evicts) the record
   // `capacity` ids older sharing the slot — no reclamation step needed.
@@ -60,11 +64,11 @@ Status FeedbackLedger::Join(uint64_t request_id, double* predicted_ms) {
     return Status::NotFound("prediction already joined");
   }
   const double value =
-      std::bit_cast<double>(slot.predicted_bits.load(std::memory_order_relaxed));
+      std::bit_cast<double>(slot.predicted_bits.load(std::memory_order_acquire));
   // Seqlock-style validation: a writer lapping the ring between our claim
-  // and the value load would have overwritten both fields (writers store
-  // unconditionally). If the id no longer carries our claim, the value may
-  // be torn — report eviction rather than returning it.
+  // and the value load invalidates the id before it overwrites the value.
+  // If the id no longer carries our claim, the value may belong to the
+  // newer record — report eviction rather than returning it.
   if (slot.id.load(std::memory_order_acquire) != (request_id | kJoinedBit)) {
     return Status::NotFound("prediction record evicted during join");
   }

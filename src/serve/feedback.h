@@ -25,12 +25,12 @@ namespace dace::serve {
 // expensive accuracy work off the prediction path.
 //
 // Layout: a power-of-two ring indexed by request_id & mask. Record claims
-// the next id, writes the predicted value into its slot, then publishes the
-// id with a release store; Join acquires the id, claims it by CASing in a
-// joined bit, reads the value, and seqlock-style re-validates the id
-// afterwards (a writer lapping the ring mid-join would have overwritten the
-// slot — the join then reports the record evicted instead of returning a
-// torn double).
+// the next id, invalidates the slot's old id, writes the predicted value,
+// then publishes the new id with a release store; Join acquires the id,
+// claims it by CASing in a joined bit, reads the value, and seqlock-style
+// re-validates the id afterwards (a writer lapping the ring mid-join
+// invalidates the id before overwriting the value — the join then reports
+// the record evicted instead of returning the newer record's value).
 //
 // Eviction is age-based on the id stream itself: a record is evicted once
 // `capacity` newer predictions have been issued — the ring IS the TTL, in
@@ -46,7 +46,7 @@ class FeedbackLedger {
   FeedbackLedger& operator=(const FeedbackLedger&) = delete;
 
   // Retains `predicted_ms` and returns the id ground truth must quote back.
-  // Wait-free (one fetch_add, two stores). Thread-safe.
+  // Wait-free (one fetch_add, three stores). Thread-safe.
   uint64_t RecordPrediction(double predicted_ms);
 
   // Claims the record and returns its prediction in *predicted_ms. Each id

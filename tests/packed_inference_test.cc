@@ -1,14 +1,19 @@
-// Packed multi-plan inference differential tests. The f64 contract is
-// BIT-identity: for any batch composition — single plan, duplicates, a
-// 1-node plan packed next to a deep chain — the packed path returns exactly
-// the doubles the per-plan reference path returns, under both kernel ISAs.
-// The f32 contract is the DESIGN §13 error budget: the q-error of the f32
-// prediction measured against the f64 prediction stays under a bound that is
-// far below any model-accuracy signal. Also covers the scratch
-// shrink-to-high-watermark governor and the PackedMode dispatcher.
+// Batched inference differential tests. Teacher misses are routed by
+// precision: f64 prices each plan through the per-plan reference forward,
+// f32 packs them into one single-precision forward. Contracts under test:
+//   - composition independence: a plan's f32 answer is bit-identical whether
+//     it is priced alone or packed with other plans — a 1-node plan next to
+//     a deep chain included — under both ISAs;
+//   - a lone f64 miss through the batch entry point equals PredictMs bitwise;
+//   - the DESIGN §13 error budget: the q-error of the f32 prediction
+//     measured against the f64 prediction stays under a bound far below any
+//     model-accuracy signal;
+//   - the scratch shrink-to-high-watermark governor, on both precisions.
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/dace_model.h"
@@ -22,7 +27,7 @@
 namespace dace::core {
 namespace {
 
-using PackedMode = DaceEstimator::PackedMode;
+using nn::kernel::Precision;
 
 // A root-to-leaf chain of `nodes` operators — the deepest possible plan
 // shape, maximizing both the DFS row count and the ancestor-mask density.
@@ -73,11 +78,10 @@ class PackedInferenceTest : public ::testing::Test {
     return ptrs;
   }
 
-  // The per-plan reference and the packed path over the same batch; both
-  // with an empty cache so every plan is computed.
+  // One batch at `precision` with an empty cache, so every plan is computed.
   std::vector<double> Predict(const std::vector<plan::QueryPlan>& batch,
-                              PackedMode mode) {
-    estimator_.set_packed_inference(mode);
+                              Precision precision) {
+    nn::kernel::SetPrecision(precision);
     estimator_.set_prediction_cache_capacity(0);
     return estimator_.PredictBatchMs(Ptrs(batch));
   }
@@ -90,63 +94,66 @@ class PackedInferenceTest : public ::testing::Test {
 };
 
 TEST_F(PackedInferenceTest, EmptyBatchReturnsEmptyOnEveryMode) {
-  for (PackedMode mode :
-       {PackedMode::kOff, PackedMode::kAuto, PackedMode::kOn}) {
-    estimator_.set_packed_inference(mode);
+  for (Precision precision : {Precision::kF64, Precision::kF32}) {
+    nn::kernel::SetPrecision(precision);
     EXPECT_TRUE(estimator_.PredictBatchMs(std::vector<plan::QueryPlan>())
+                    .empty());
+    EXPECT_TRUE(estimator_
+                    .PredictSubPlansBatchMs(
+                        std::span<const plan::QueryPlan* const>())
                     .empty());
   }
 }
 
 TEST_F(PackedInferenceTest, SinglePlanForcedPackMatchesPredictMsBitwise) {
-  // kAuto would price a lone miss per-plan; kOn forces a 1-plan pack, which
-  // must still be bit-identical to PredictMs.
-  for (const auto& plan : {plans_[0], plans_[7], SingleNodePlan()}) {
-    const double reference = estimator_.PredictMs(plan);
-    const std::vector<double> packed =
-        Predict(std::vector<plan::QueryPlan>{plan}, PackedMode::kOn);
-    ASSERT_EQ(1u, packed.size());
-    EXPECT_EQ(reference, packed[0]);
-  }
-}
-
-TEST_F(PackedInferenceTest, PackedF64MatchesPerPlanBitwiseOnBothIsas) {
-  for (nn::kernel::Isa isa : {nn::kernel::Isa::kScalar, nn::kernel::Isa::kAvx2}) {
+  // A lone f64 teacher miss goes through the batch entry point; it must
+  // still be bit-identical to PredictMs, under both ISAs.
+  estimator_.set_tier_mode(DaceEstimator::TierMode::kTeacherOnly);
+  for (nn::kernel::Isa isa :
+       {nn::kernel::Isa::kScalar, nn::kernel::Isa::kAvx2}) {
     if (isa == nn::kernel::Isa::kAvx2 && !nn::kernel::HasAvx2()) continue;
     nn::kernel::SetIsa(isa);
     SCOPED_TRACE(nn::kernel::IsaName(isa));
-    const std::vector<double> reference = Predict(plans_, PackedMode::kOff);
-    const std::vector<double> packed = Predict(plans_, PackedMode::kOn);
-    ASSERT_EQ(reference.size(), packed.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(reference[i], packed[i]) << "plan " << i;
+    for (const auto& plan : {plans_[0], plans_[7], SingleNodePlan()}) {
+      nn::kernel::SetPrecision(Precision::kF64);
+      const double reference = estimator_.PredictMs(plan);
+      const std::vector<double> batched =
+          Predict(std::vector<plan::QueryPlan>{plan}, Precision::kF64);
+      ASSERT_EQ(1u, batched.size());
+      EXPECT_EQ(reference, batched[0]);
     }
   }
 }
 
+// Batch composition must not change an answer: each plan priced alone (a
+// 1-plan pack) equals, bitwise, its answer inside one mixed pack holding
+// the corpus plus one-node plans whose score tiles are almost entirely
+// padding and a chain deeper than anything in the training corpus.
 TEST_F(PackedInferenceTest, ExtremeShapeMixPacksBitwise) {
-  // One-node plans packed against a plan deeper than anything in the
-  // training corpus: the score tiles of the small plans are almost entirely
-  // padding, which must never leak into the valid rows.
-  std::vector<plan::QueryPlan> batch;
+  estimator_.set_tier_mode(DaceEstimator::TierMode::kTeacherOnly);
+  std::vector<plan::QueryPlan> batch = plans_;
   batch.push_back(SingleNodePlan());
   batch.push_back(ChainPlan(120));
-  batch.push_back(SingleNodePlan());
-  for (int i = 0; i < 6; ++i) batch.push_back(plans_[static_cast<size_t>(i)]);
-  batch.push_back(ChainPlan(2));
-  const std::vector<double> reference = Predict(batch, PackedMode::kOff);
-  const std::vector<double> packed = Predict(batch, PackedMode::kOn);
-  ASSERT_EQ(reference.size(), packed.size());
-  for (size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(reference[i], packed[i]) << "plan " << i;
+  for (nn::kernel::Isa isa :
+       {nn::kernel::Isa::kScalar, nn::kernel::Isa::kAvx2}) {
+    if (isa == nn::kernel::Isa::kAvx2 && !nn::kernel::HasAvx2()) continue;
+    nn::kernel::SetIsa(isa);
+    SCOPED_TRACE(nn::kernel::IsaName(isa));
+    const std::vector<double> mixed = Predict(batch, Precision::kF32);
+    ASSERT_EQ(batch.size(), mixed.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const std::vector<double> alone =
+          Predict(std::vector<plan::QueryPlan>{batch[i]}, Precision::kF32);
+      ASSERT_EQ(1u, alone.size());
+      EXPECT_EQ(alone[0], mixed[i]) << "plan " << i;
+    }
   }
 }
 
 TEST_F(PackedInferenceTest, IdenticalPlansBatchAndCacheInteraction) {
   // A batch of copies of one plan, cache enabled: every copy misses the
-  // (empty) cache in the probe pass, all land in one pack, and every result
-  // must equal the per-plan value bit-for-bit. The NEXT batch is all hits.
-  estimator_.set_packed_inference(PackedMode::kOn);
+  // (empty) cache in the probe pass, and every result must equal the
+  // per-plan value bit-for-bit. The NEXT batch is all hits.
   estimator_.set_prediction_cache_capacity(64);
   const double reference = estimator_.PredictMs(plans_[3]);
   estimator_.set_prediction_cache_capacity(64);  // reset entries + counters
@@ -175,10 +182,8 @@ TEST_F(PackedInferenceTest, F32QErrorDeltaWithinBudget) {
   std::vector<plan::QueryPlan> batch = plans_;
   batch.push_back(SingleNodePlan());
   batch.push_back(ChainPlan(120));
-  const std::vector<double> f64_preds = Predict(batch, PackedMode::kOn);
-  nn::kernel::SetPrecision(nn::kernel::Precision::kF32);
-  const std::vector<double> f32_preds = Predict(batch, PackedMode::kOn);
-  nn::kernel::SetPrecision(nn::kernel::Precision::kF64);
+  const std::vector<double> f64_preds = Predict(batch, Precision::kF64);
+  const std::vector<double> f32_preds = Predict(batch, Precision::kF32);
   ASSERT_EQ(f64_preds.size(), f32_preds.size());
   double worst_q = 1.0;
   for (size_t i = 0; i < f64_preds.size(); ++i) {
@@ -197,12 +202,10 @@ TEST_F(PackedInferenceTest, F32QErrorDeltaWithinBudget) {
 // f32 must also re-fold its weight image when the weights change, rather
 // than serving predictions from the stale fold.
 TEST_F(PackedInferenceTest, F32RefoldsAfterFineTune) {
-  nn::kernel::SetPrecision(nn::kernel::Precision::kF32);
-  const std::vector<double> before = Predict(plans_, PackedMode::kOn);
+  const std::vector<double> before = Predict(plans_, Precision::kF32);
   estimator_.FineTune(plans_);
-  const std::vector<double> after = Predict(plans_, PackedMode::kOn);
-  nn::kernel::SetPrecision(nn::kernel::Precision::kF64);
-  const std::vector<double> f64_after = Predict(plans_, PackedMode::kOff);
+  const std::vector<double> after = Predict(plans_, Precision::kF32);
+  const std::vector<double> f64_after = Predict(plans_, Precision::kF64);
   ASSERT_EQ(after.size(), f64_after.size());
   bool any_changed = false;
   for (size_t i = 0; i < before.size(); ++i) {
@@ -217,55 +220,56 @@ TEST_F(PackedInferenceTest, F32RefoldsAfterFineTune) {
 }
 
 // Scratch governor: one pathological deep plan pins megabyte-class buffers;
-// a patience-window of small batches afterwards must shrink them back.
+// a patience-window of small batches afterwards must shrink them back, on
+// the per-plan (f64) and packed (f32) scratch alike, for root-only and
+// all-rows batches.
 TEST_F(PackedInferenceTest, ScratchShrinksBackToSmallWorkload) {
-  for (PackedMode mode : {PackedMode::kOff, PackedMode::kOn}) {
-    estimator_.set_packed_inference(mode);
-    SCOPED_TRACE(static_cast<int>(mode));
-    // A 300-node plan (>= the governor's 256-node floor) warms the scratch.
-    std::vector<plan::QueryPlan> big;
-    big.push_back(ChainPlan(300));
-    big.push_back(ChainPlan(299));
-    (void)estimator_.PredictBatchMs(Ptrs(big));
-    EXPECT_GE(estimator_.InferenceScratchPeakNodes(), 300u);
-    // Small batches only: the governor needs its full patience streak
-    // before dropping the watermark.
-    std::vector<plan::QueryPlan> small(plans_.begin(), plans_.begin() + 8);
-    for (int call = 0; call < 20; ++call) {
-      (void)estimator_.PredictBatchMs(Ptrs(small));
+  for (Precision precision : {Precision::kF64, Precision::kF32}) {
+    for (bool sub_plans : {false, true}) {
+      nn::kernel::SetPrecision(precision);
+      SCOPED_TRACE(std::string(nn::kernel::PrecisionName(precision)) +
+                   (sub_plans ? " sub-plans" : " roots"));
+      const auto run = [&](const std::vector<plan::QueryPlan>& batch) {
+        if (sub_plans) {
+          (void)estimator_.PredictSubPlansBatchMs(Ptrs(batch));
+        } else {
+          (void)estimator_.PredictBatchMs(Ptrs(batch));
+        }
+      };
+      // A 300-node plan (>= the governor's 256-node floor) warms the scratch.
+      std::vector<plan::QueryPlan> big;
+      big.push_back(ChainPlan(300));
+      big.push_back(ChainPlan(299));
+      run(big);
+      EXPECT_GE(estimator_.InferenceScratchPeakNodes(), 300u);
+      // Small batches only: the governor needs its full patience streak
+      // before dropping the watermark.
+      std::vector<plan::QueryPlan> small(plans_.begin(), plans_.begin() + 8);
+      for (int call = 0; call < 20; ++call) run(small);
+      EXPECT_LT(estimator_.InferenceScratchPeakNodes(), 256u)
+          << "scratch still sized for the 300-node outlier";
     }
-    EXPECT_LT(estimator_.InferenceScratchPeakNodes(), 256u)
-        << "scratch still sized for the 300-node outlier";
   }
 }
 
 // One oversized batch inside the patience window resets the streak: the
 // governor must NOT shrink scratch a live workload still needs.
 TEST_F(PackedInferenceTest, GovernorSparesActiveDeepWorkloads) {
-  estimator_.set_packed_inference(PackedMode::kOn);
-  std::vector<plan::QueryPlan> big;
-  big.push_back(ChainPlan(300));
-  std::vector<plan::QueryPlan> small(plans_.begin(), plans_.begin() + 8);
-  (void)estimator_.PredictBatchMs(Ptrs(big));
-  for (int round = 0; round < 3; ++round) {
-    for (int call = 0; call < 10; ++call) {
-      (void)estimator_.PredictBatchMs(Ptrs(small));
+  for (Precision precision : {Precision::kF64, Precision::kF32}) {
+    nn::kernel::SetPrecision(precision);
+    SCOPED_TRACE(nn::kernel::PrecisionName(precision));
+    std::vector<plan::QueryPlan> big;
+    big.push_back(ChainPlan(300));
+    std::vector<plan::QueryPlan> small(plans_.begin(), plans_.begin() + 8);
+    (void)estimator_.PredictBatchMs(Ptrs(big));
+    for (int round = 0; round < 3; ++round) {
+      for (int call = 0; call < 10; ++call) {
+        (void)estimator_.PredictBatchMs(Ptrs(small));
+      }
+      (void)estimator_.PredictBatchMs(Ptrs(big));  // streak reset
     }
-    (void)estimator_.PredictBatchMs(Ptrs(big));  // streak reset
+    EXPECT_GE(estimator_.InferenceScratchPeakNodes(), 300u);
   }
-  EXPECT_GE(estimator_.InferenceScratchPeakNodes(), 300u);
-}
-
-TEST_F(PackedInferenceTest, AutoModeUsesPerPlanPathForSingleMiss) {
-  // Sanity on the dispatcher policy rather than the numerics: kAuto with a
-  // single miss must not pack (identical results either way — asserted via
-  // the pack metrics counter staying put is overkill here, so just assert
-  // the result matches the reference bitwise).
-  const double reference = estimator_.PredictMs(plans_[5]);
-  const std::vector<double> out =
-      Predict(std::vector<plan::QueryPlan>{plans_[5]}, PackedMode::kAuto);
-  ASSERT_EQ(1u, out.size());
-  EXPECT_EQ(reference, out[0]);
 }
 
 }  // namespace

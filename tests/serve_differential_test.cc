@@ -1,11 +1,12 @@
 // Differential test for the serving layer: for every plan in a generated
 // corpus, the coalesced service path returns the BIT-IDENTICAL double a
-// direct PredictMs / PredictBatchMs call on the same snapshot produces —
-// under both kernel ISAs (scalar always; AVX2 when the machine has it),
-// with the prediction cache disabled and enabled, sequentially and under
-// concurrent submission (where requests from different threads coalesce
-// into mixed micro-batches). Coalescing may only change who computes,
-// never what is computed.
+// direct PredictBatchMs call on the same snapshot produces — under both
+// kernel ISAs (scalar always; AVX2 when the machine has it), at f64 (where
+// PredictMs must agree too) and on the packed f32 path, with the prediction
+// cache disabled and enabled, sequentially and under concurrent submission
+// (where requests from different threads coalesce into mixed micro-batches
+// and packs). Coalescing may only change who computes, never what is
+// computed.
 
 #include <memory>
 #include <string>
@@ -36,12 +37,6 @@ class ServeDifferentialTest : public ::testing::Test {
     estimator_ = std::make_shared<core::DaceEstimator>(config);
     estimator_->Train(plans_);
     ASSERT_TRUE(registry_.Register("tenant", estimator_).ok());
-    // This suite is an f64 bit-identity contract (PredictMs vs batched vs
-    // coalesced service). Pin the precision so a DACE_PRECISION=f32
-    // environment doesn't route the packed path through the f32 kernels,
-    // whose results are only q-error-bounded, not bitwise. The f32 budget
-    // is asserted by PackedInferenceTest.F32QErrorDeltaWithinBudget.
-    nn::kernel::SetPrecision(nn::kernel::Precision::kF64);
   }
 
   void TearDown() override {
@@ -73,19 +68,25 @@ class ServeDifferentialTest : public ::testing::Test {
     return out;
   }
 
-  void RunDifferential(nn::kernel::Isa isa) {
+  // The precision is pinned so the suite never inherits DACE_PRECISION. The
+  // reference is one cache-off PredictBatchMs over the whole corpus; at f64
+  // it must also equal per-plan PredictMs. PredictMs is always f64, so at
+  // f32 there is no per-plan twin: the packed f32 answers are only
+  // q-error-bounded against f64 (asserted by PackedInferenceTest), but they
+  // must not depend on how the service coalesces requests into packs.
+  void RunDifferential(nn::kernel::Isa isa, nn::kernel::Precision precision) {
     nn::kernel::SetIsa(isa);
-    SCOPED_TRACE(std::string("isa=") + nn::kernel::IsaName(isa));
+    nn::kernel::SetPrecision(precision);
+    SCOPED_TRACE(std::string("isa=") + nn::kernel::IsaName(isa) +
+                 " precision=" + nn::kernel::PrecisionName(precision));
 
-    // Direct reference, cache disabled: per-plan and batched paths agree.
     estimator_->set_prediction_cache_capacity(0);
-    std::vector<double> direct;
-    direct.reserve(plans_.size());
-    for (const auto& plan : plans_) direct.push_back(estimator_->PredictMs(plan));
-    const std::vector<double> direct_batch = estimator_->PredictBatchMs(plans_);
-    ASSERT_EQ(direct_batch.size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_EQ(direct[i], direct_batch[i]) << "plan " << i;
+    const std::vector<double> direct = estimator_->PredictBatchMs(plans_);
+    ASSERT_EQ(plans_.size(), direct.size());
+    if (precision == nn::kernel::Precision::kF64) {
+      for (size_t i = 0; i < direct.size(); ++i) {
+        EXPECT_EQ(estimator_->PredictMs(plans_[i]), direct[i]) << "plan " << i;
+      }
     }
 
     // The service (and its drainers) is created inside the ISA phase so the
@@ -132,30 +133,28 @@ class ServeDifferentialTest : public ::testing::Test {
 };
 
 TEST_F(ServeDifferentialTest, ScalarKernels) {
-  RunDifferential(nn::kernel::Isa::kScalar);
+  RunDifferential(nn::kernel::Isa::kScalar, nn::kernel::Precision::kF64);
 }
 
 TEST_F(ServeDifferentialTest, Avx2Kernels) {
   if (!nn::kernel::HasAvx2()) {
     GTEST_SKIP() << "AVX2 not available on this machine/build";
   }
-  RunDifferential(nn::kernel::Isa::kAvx2);
+  RunDifferential(nn::kernel::Isa::kAvx2, nn::kernel::Precision::kF64);
 }
 
-// Same differential with the packed multi-plan path forced on for EVERY
-// cache miss (even single-miss micro-batches, which kAuto would price
-// per-plan): coalescing into packs may only change who computes, never what.
-TEST_F(ServeDifferentialTest, PackedForcedScalarKernels) {
-  estimator_->set_packed_inference(core::DaceEstimator::PackedMode::kOn);
-  RunDifferential(nn::kernel::Isa::kScalar);
+// Same differential on the packed f32 path, which prices every cache miss —
+// a lone miss of a 1-request micro-batch included — so packs of every size
+// fan out across the pool.
+TEST_F(ServeDifferentialTest, PackedF32ScalarKernels) {
+  RunDifferential(nn::kernel::Isa::kScalar, nn::kernel::Precision::kF32);
 }
 
-TEST_F(ServeDifferentialTest, PackedForcedAvx2Kernels) {
+TEST_F(ServeDifferentialTest, PackedF32Avx2Kernels) {
   if (!nn::kernel::HasAvx2()) {
     GTEST_SKIP() << "AVX2 not available on this machine/build";
   }
-  estimator_->set_packed_inference(core::DaceEstimator::PackedMode::kOn);
-  RunDifferential(nn::kernel::Isa::kAvx2);
+  RunDifferential(nn::kernel::Isa::kAvx2, nn::kernel::Precision::kF32);
 }
 
 // Unknown tenants are refused with a typed error before any queueing.

@@ -3,8 +3,7 @@
 // plans to the teacher. Contracts under test:
 //   - student-tier answers are bit-identical across ISA / DACE_KERNELS modes
 //     (the i8 kernel table carries a 0-ULP scalar/AVX2 contract);
-//   - escalated answers are bit-identical to teacher-only serving (pinned at
-//     f64, where the packed path is itself bit-identical per plan);
+//   - escalated answers are bit-identical to teacher-only serving;
 //   - the predict.tier.* counters reconcile exactly:
 //       predict.tier.student + predict.tier.escalated
 //         == predict.tier.requests
@@ -34,7 +33,7 @@ namespace dace::core {
 namespace {
 
 using TierMode = DaceEstimator::TierMode;
-using PackedMode = DaceEstimator::PackedMode;
+using nn::kernel::Precision;
 
 struct TierCounters {
   uint64_t requests, student, escalated, teacher;
@@ -177,7 +176,6 @@ TEST_F(TieredServingTest, EscalatedAnswersBitIdenticalToTeacherOnly) {
 // student + escalated == requests after every call, and teacher-only
 // serving routes everything through predict.tier.teacher instead.
 TEST_F(TieredServingTest, TierCountersReconcileExactly) {
-  estimator_.set_packed_inference(PackedMode::kAuto);
   for (TierMode mode : {TierMode::kAuto, TierMode::kStudentOnly}) {
     estimator_.set_tier_mode(mode);
     for (size_t cache_cap : {size_t{0}, size_t{32}}) {
@@ -211,12 +209,12 @@ TEST_F(TieredServingTest, TierCountersReconcileExactly) {
 }
 
 // A serve-stress-shaped soak: many small overlapping batches with the cache
-// on, i8 active, packed teacher enabled — the reconciliation identity must
-// hold over the aggregate, and cache hits must never enter the gate.
+// on, i8 active (so escalations go to the packed teacher) — the
+// reconciliation identity must hold over the aggregate, and cache hits must
+// never enter the gate.
 TEST_F(TieredServingTest, CountersReconcileUnderStress) {
   nn::kernel::SetPrecision(nn::kernel::Precision::kI8);
   estimator_.set_tier_mode(TierMode::kAuto);
-  estimator_.set_packed_inference(PackedMode::kAuto);
   estimator_.set_prediction_cache_capacity(64);
   const TierCounters before = TierCounters::Take();
   uint64_t issued = 0;
@@ -338,18 +336,23 @@ TEST_F(TieredServingTest, StudentFreeCheckpointDropsLiveStudent) {
 }
 
 TEST_F(TieredServingTest, SubPlansBatchMatchesPerPlanBitwise) {
-  // The batched all-rows path is teacher-only and, at f64, bit-identical to
-  // PredictSubPlansMs row for row — whatever the tier mode.
+  // The batched all-rows path is teacher-only whatever the tier mode, and a
+  // plan's rows do not depend on the plans batched with it: at f64 they are
+  // bit-identical to PredictSubPlansMs row for row; at f32 (packed) to the
+  // plan's rows when it is batched alone.
   estimator_.set_tier_mode(TierMode::kAuto);
-  for (PackedMode mode : {PackedMode::kOff, PackedMode::kOn}) {
-    estimator_.set_packed_inference(mode);
-    SCOPED_TRACE(static_cast<int>(mode));
+  for (Precision precision : {Precision::kF64, Precision::kF32}) {
+    nn::kernel::SetPrecision(precision);
+    SCOPED_TRACE(nn::kernel::PrecisionName(precision));
     const std::vector<std::vector<double>> batched =
         estimator_.PredictSubPlansBatchMs(Ptrs(eval_plans_));
     ASSERT_EQ(eval_plans_.size(), batched.size());
     for (size_t i = 0; i < eval_plans_.size(); ++i) {
+      const std::vector<plan::QueryPlan> alone = {eval_plans_[i]};
       const std::vector<double> reference =
-          estimator_.PredictSubPlansMs(eval_plans_[i]);
+          precision == Precision::kF64
+              ? estimator_.PredictSubPlansMs(eval_plans_[i])
+              : estimator_.PredictSubPlansBatchMs(Ptrs(alone))[0];
       ASSERT_EQ(reference.size(), batched[i].size()) << "plan " << i;
       for (size_t j = 0; j < reference.size(); ++j) {
         EXPECT_EQ(reference[j], batched[i][j])
@@ -360,15 +363,15 @@ TEST_F(TieredServingTest, SubPlansBatchMatchesPerPlanBitwise) {
 }
 
 // The f32 all-rows packed path obeys the same q-error budget as the
-// root-only packed path (DESIGN §13) on every sub-plan row.
+// root-only packed path (DESIGN §13) on every sub-plan row, and its root
+// row is bit-identical to the root-only answer of the same f32 forward.
 TEST_F(TieredServingTest, SubPlansBatchF32WithinBudget) {
-  estimator_.set_packed_inference(PackedMode::kOn);
+  estimator_.set_tier_mode(TierMode::kTeacherOnly);
   const std::vector<std::vector<double>> f64_rows =
       estimator_.PredictSubPlansBatchMs(Ptrs(eval_plans_));
-  nn::kernel::SetPrecision(nn::kernel::Precision::kF32);
+  nn::kernel::SetPrecision(Precision::kF32);
   const std::vector<std::vector<double>> f32_rows =
       estimator_.PredictSubPlansBatchMs(Ptrs(eval_plans_));
-  nn::kernel::SetPrecision(nn::kernel::Precision::kF64);
   ASSERT_EQ(f64_rows.size(), f32_rows.size());
   for (size_t i = 0; i < f64_rows.size(); ++i) {
     ASSERT_EQ(f64_rows[i].size(), f32_rows[i].size()) << "plan " << i;
@@ -378,6 +381,20 @@ TEST_F(TieredServingTest, SubPlansBatchF32WithinBudget) {
       const double q = std::max(f64_rows[i][j] / f32_rows[i][j],
                                 f32_rows[i][j] / f64_rows[i][j]);
       EXPECT_LT(q, 1.001) << "plan " << i << " row " << j;
+    }
+  }
+  for (nn::kernel::Isa isa :
+       {nn::kernel::Isa::kScalar, nn::kernel::Isa::kAvx2}) {
+    if (isa == nn::kernel::Isa::kAvx2 && !nn::kernel::HasAvx2()) continue;
+    nn::kernel::SetIsa(isa);
+    SCOPED_TRACE(nn::kernel::IsaName(isa));
+    const std::vector<std::vector<double>> rows =
+        estimator_.PredictSubPlansBatchMs(Ptrs(eval_plans_));
+    const std::vector<double> roots =
+        estimator_.PredictBatchMs(Ptrs(eval_plans_));
+    ASSERT_EQ(roots.size(), rows.size());
+    for (size_t i = 0; i < roots.size(); ++i) {
+      EXPECT_EQ(roots[i], rows[i][0]) << "plan " << i;
     }
   }
 }
