@@ -1,6 +1,7 @@
 #ifndef DACE_BASELINES_COMMON_H_
 #define DACE_BASELINES_COMMON_H_
 
+#include <map>
 #include <numeric>
 #include <vector>
 
@@ -67,6 +68,36 @@ double RunAdamTraining(const TrainOptions& options, size_t num_plans,
   }
   return epoch_loss;
 }
+
+// The baselines' gradient sinks, one per layer, created on first use.
+// Backward runs a layer's const BackwardCached into the layer's sink and
+// folds the sink into its Parameter::grad straight away (before
+// RunAdamTraining's next Adam::Step), so a layer applied at several sites of
+// one pass — the recursive tree encoders — accumulates in call order.
+class GradientSinks {
+ public:
+  template <typename Layer, typename Cache>
+  void Backward(Layer* layer, const Cache& cache, const nn::Matrix& dy,
+                nn::Matrix* dx) {
+    auto [it, inserted] = SinkMap(layer).try_emplace(layer);
+    if (inserted) layer->InitGradients(&it->second);
+    layer->BackwardCached(cache, dy, &it->second, dx);
+    layer->AccumulateGradients(&it->second);
+  }
+
+ private:
+  std::map<const nn::Linear*, nn::Linear::Gradients>& SinkMap(
+      const nn::Linear*) {
+    return linear_;
+  }
+  std::map<const nn::TreeAttention*, nn::TreeAttention::Gradients>& SinkMap(
+      const nn::TreeAttention*) {
+    return attention_;
+  }
+
+  std::map<const nn::Linear*, nn::Linear::Gradients> linear_;
+  std::map<const nn::TreeAttention*, nn::TreeAttention::Gradients> attention_;
+};
 
 // Huber loss / gradient on a scalar residual (delta = 1).
 double HuberLoss(double residual);

@@ -8,32 +8,15 @@
 namespace dace::baselines {
 
 namespace {
-
 using nn::Linear;
 using nn::Matrix;
-
-void ReluInPlace(Matrix* m) {
-  double* data = m->data();
-  for (size_t i = 0; i < m->size(); ++i) data[i] = std::max(data[i], 0.0);
-}
-
-// dpre = dpost ⊙ [pre > 0].
-void ReluBackward(const Matrix& pre, const Matrix& dpost, Matrix* dpre) {
-  *dpre = dpost;
-  const double* p = pre.data();
-  double* g = dpre->data();
-  for (size_t i = 0; i < dpre->size(); ++i) {
-    if (p[i] <= 0.0) g[i] = 0.0;
-  }
-}
-
 }  // namespace
 
 // Caches of one forward pass, enough to backpropagate.
 struct Mscn::ForwardState {
-  // Per set: caches and pre-activations (z) of the two layers.
+  // Per set: caches and pre-activations (z) of the two layers; rows == 0
+  // when the set is empty and contributes a zero pooled vector.
   struct SetState {
-    bool present = false;
     Linear::ExternalCache c1, c2;
     Matrix z1, z2;
     size_t rows = 0;
@@ -41,7 +24,6 @@ struct Mscn::ForwardState {
   SetState tables, joins, predicates;
   Linear::ExternalCache out_c1, out_c2;
   Matrix out_z1;
-  Matrix concat;  // (1 × concat_dim)
 };
 
 Mscn::Mscn() : Mscn(Config()) {}
@@ -111,97 +93,64 @@ double Mscn::Forward(const SetFeatures& f, const std::vector<double>& encoding,
                               const Linear& fc2,
                               ForwardState::SetState* ss, double* pooled) {
     std::fill(pooled, pooled + h, 0.0);
-    if (set.rows() == 0) {
-      if (ss != nullptr) ss->present = false;
-      return;
-    }
-    Matrix z1, h1, z2, h2;
-    if (ss != nullptr) {
-      fc1.ForwardCached(set, &ss->c1, &z1);
-    } else {
-      fc1.ForwardInference(set, &z1);
-    }
-    h1 = z1;
-    ReluInPlace(&h1);
-    if (ss != nullptr) {
-      fc2.ForwardCached(h1, &ss->c2, &z2);
-    } else {
-      fc2.ForwardInference(h1, &z2);
-    }
-    h2 = z2;
-    ReluInPlace(&h2);
+    ss->rows = set.rows();
+    if (set.rows() == 0) return;
+    Matrix h1, h2;
+    fc1.ForwardReluCached(set, &ss->c1, &ss->z1, &h1);
+    fc2.ForwardReluCached(h1, &ss->c2, &ss->z2, &h2);
     for (size_t i = 0; i < h2.rows(); ++i) {
       const double* row = h2.RowPtr(i);
       for (size_t j = 0; j < h; ++j) pooled[j] += row[j];
     }
     const double inv = 1.0 / static_cast<double>(h2.rows());
     for (size_t j = 0; j < h; ++j) pooled[j] *= inv;
-    if (ss != nullptr) {
-      ss->present = true;
-      ss->z1 = std::move(z1);
-      ss->z2 = std::move(z2);
-      ss->rows = set.rows();
-    }
   };
 
   const size_t enc_dim = encoding.size();
   Matrix concat(1, 3 * h + enc_dim);
-  encode_set(f.tables, table_fc1_, table_fc2_,
-             state ? &state->tables : nullptr, concat.RowPtr(0));
-  encode_set(f.joins, join_fc1_, join_fc2_, state ? &state->joins : nullptr,
+  encode_set(f.tables, table_fc1_, table_fc2_, &state->tables,
+             concat.RowPtr(0));
+  encode_set(f.joins, join_fc1_, join_fc2_, &state->joins,
              concat.RowPtr(0) + h);
-  encode_set(f.predicates, pred_fc1_, pred_fc2_,
-             state ? &state->predicates : nullptr, concat.RowPtr(0) + 2 * h);
+  encode_set(f.predicates, pred_fc1_, pred_fc2_, &state->predicates,
+             concat.RowPtr(0) + 2 * h);
   for (size_t j = 0; j < enc_dim; ++j) concat(0, 3 * h + j) = encoding[j];
 
-  Matrix z1, h1, out;
-  if (state != nullptr) {
-    out_fc1_.ForwardCached(concat, &state->out_c1, &z1);
-  } else {
-    out_fc1_.ForwardInference(concat, &z1);
-  }
-  h1 = z1;
-  ReluInPlace(&h1);
-  if (state != nullptr) {
-    out_fc2_.ForwardCached(h1, &state->out_c2, &out);
-  } else {
-    out_fc2_.ForwardInference(h1, &out);
-  }
-  if (state != nullptr) {
-    state->out_z1 = std::move(z1);
-    state->concat = std::move(concat);
-  }
+  Matrix h1, out;
+  out_fc1_.ForwardReluCached(concat, &state->out_c1, &state->out_z1, &h1);
+  out_fc2_.ForwardCached(h1, &state->out_c2, &out);
   return out(0, 0);
 }
 
-void Mscn::Backward(ForwardState* state, double dloss) {
+void Mscn::Backward(const ForwardState& state, double dloss,
+                    GradientSinks* sinks) {
   const size_t h = static_cast<size_t>(config_.hidden);
   Matrix dout(1, 1);
   dout(0, 0) = dloss;
   Matrix dh1, dz1, dconcat;
-  out_fc2_.BackwardCached(state->out_c2, dout, &dh1);
-  ReluBackward(state->out_z1, dh1, &dz1);
-  out_fc1_.BackwardCached(state->out_c1, dz1, &dconcat);
+  sinks->Backward(&out_fc2_, state.out_c2, dout, &dh1);
+  nn::ReluBackward(state.out_z1, dh1, &dz1);
+  sinks->Backward(&out_fc1_, state.out_c1, dz1, &dconcat);
 
-  const auto set_backward = [&](ForwardState::SetState* ss, Linear* fc1,
+  const auto set_backward = [&](const ForwardState::SetState& ss, Linear* fc1,
                                 Linear* fc2, const double* dpooled) {
-    if (!ss->present) return;
+    if (ss.rows == 0) return;
     // Mean-pool backward: broadcast dpooled / rows to every row.
-    Matrix dh2(ss->rows, h);
-    const double inv = 1.0 / static_cast<double>(ss->rows);
-    for (size_t i = 0; i < ss->rows; ++i) {
+    Matrix dh2(ss.rows, h);
+    const double inv = 1.0 / static_cast<double>(ss.rows);
+    for (size_t i = 0; i < ss.rows; ++i) {
       double* row = dh2.RowPtr(i);
       for (size_t j = 0; j < h; ++j) row[j] = dpooled[j] * inv;
     }
     Matrix dz2, dh1_set, dz1_set, dinput;
-    ReluBackward(ss->z2, dh2, &dz2);
-    fc2->BackwardCached(ss->c2, dz2, &dh1_set);
-    ReluBackward(ss->z1, dh1_set, &dz1_set);
-    fc1->BackwardCached(ss->c1, dz1_set, &dinput);
+    nn::ReluBackward(ss.z2, dh2, &dz2);
+    sinks->Backward(fc2, ss.c2, dz2, &dh1_set);
+    nn::ReluBackward(ss.z1, dh1_set, &dz1_set);
+    sinks->Backward(fc1, ss.c1, dz1_set, &dinput);
   };
-  set_backward(&state->tables, &table_fc1_, &table_fc2_, dconcat.RowPtr(0));
-  set_backward(&state->joins, &join_fc1_, &join_fc2_, dconcat.RowPtr(0) + h);
-  set_backward(&state->predicates, &pred_fc1_, &pred_fc2_,
+  set_backward(state.tables, &table_fc1_, &table_fc2_, dconcat.RowPtr(0));
+  set_backward(state.joins, &join_fc1_, &join_fc2_, dconcat.RowPtr(0) + h);
+  set_backward(state.predicates, &pred_fc1_, &pred_fc2_,
                dconcat.RowPtr(0) + 2 * h);
 }
 
@@ -230,11 +179,12 @@ void Mscn::Train(const std::vector<plan::QueryPlan>& plans) {
     labels.push_back(
         scalers_.time.Transform(plan.node(plan.root()).actual_time_ms));
   }
+  GradientSinks sinks;
   RunAdamTraining(config_.train, plans.size(), Parameters(), [&](size_t idx) {
     ForwardState state;
     const double pred = Forward(features[idx], encodings[idx], &state);
     const double residual = pred - labels[idx];
-    Backward(&state, HuberGrad(residual));
+    Backward(state, HuberGrad(residual), &sinks);
     return HuberLoss(residual);
   });
 }
@@ -243,7 +193,8 @@ double Mscn::PredictMs(const plan::QueryPlan& plan) const {
   const SetFeatures f = Extract(plan);
   const std::vector<double> encoding =
       encoder_ ? encoder_->Encode(plan) : std::vector<double>();
-  const double pred = Forward(f, encoding, nullptr);
+  ForwardState state;
+  const double pred = Forward(f, encoding, &state);
   return ClampPredictionMs(scalers_.time.InverseTransform(pred));
 }
 

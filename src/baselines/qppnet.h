@@ -45,10 +45,10 @@ class QppNet : public core::CostEstimator {
     int type = 0;
   };
 
-  // Post-order forward over node `id`; fills states (indexed by node id)
-  // when training, and returns the node's output row.
-  nn::Matrix ForwardNode(const plan::QueryPlan& plan, int32_t id,
-                         std::vector<NodeState>* states) const;
+  // Post-order forward over node `id`; fills states (indexed by node id,
+  // sized plan.size()) and returns the node's output row, states[id].output.
+  const nn::Matrix& ForwardNode(const plan::QueryPlan& plan, int32_t id,
+                                std::vector<NodeState>* states) const;
 
   std::vector<nn::Parameter*> Parameters();
 

@@ -73,41 +73,32 @@ Matrix QueryFormer::BuildMask(const plan::QueryPlan& plan) const {
   return mask;
 }
 
-Matrix QueryFormer::ForwardBody(const Matrix& input, const Matrix& mask,
-                                bool train) {
-  DACE_CHECK(train);
-  Matrix h = embed_.Forward(input);
-  for (auto& layer : layers_) {
-    const Matrix& a = layer->attention.Forward(h, mask);
-    Matrix h1 = h;
-    h1.AddScaled(a, 1.0);
-    const Matrix& f =
-        layer->ffn2.Forward(layer->relu.Forward(layer->ffn1.Forward(h1)));
-    h = h1;
-    h.AddScaled(f, 1.0);
-  }
-  Matrix super(1, h.cols());
-  for (size_t j = 0; j < h.cols(); ++j) super(0, j) = h(0, j);
-  return super;
-}
-
-Matrix QueryFormer::ForwardBodyInference(const Matrix& input,
-                                         const Matrix& mask) const {
-  Matrix h;
-  embed_.ForwardInference(input, &h);
-  for (const auto& layer : layers_) {
-    Matrix a;
-    layer->attention.ForwardInference(h, mask, &a);
+double QueryFormer::Forward(const Matrix& input, const Matrix& mask,
+                            const std::vector<double>& encoding,
+                            ForwardState* state) const {
+  state->layers.resize(layers_.size());
+  Matrix h, a, r, f;
+  embed_.ForwardCached(input, &state->embed, &h);
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    const EncoderLayer& layer = *layers_[l];
+    LayerState& ls = state->layers[l];
+    // h += attn(h); h += ffn(h).
+    layer.attention.ForwardCached(h, mask, &ls.attention, &a);
     h.AddScaled(a, 1.0);
-    Matrix z1, h1, f;
-    layer->ffn1.ForwardInference(h, &z1);
-    layer->relu.ForwardInference(z1, &h1);
-    layer->ffn2.ForwardInference(h1, &f);
+    layer.ffn1.ForwardReluCached(h, &ls.ffn1, &ls.z1, &r);
+    layer.ffn2.ForwardCached(r, &ls.ffn2, &f);
     h.AddScaled(f, 1.0);
   }
-  Matrix super(1, h.cols());
-  for (size_t j = 0; j < h.cols(); ++j) super(0, j) = h(0, j);
-  return super;
+
+  // Head over [super-node row, encoding].
+  const size_t d = h.cols();
+  Matrix concat(1, d + encoding.size());
+  for (size_t j = 0; j < d; ++j) concat(0, j) = h(0, j);
+  for (size_t j = 0; j < encoding.size(); ++j) concat(0, d + j) = encoding[j];
+  Matrix out;
+  head1_.ForwardReluCached(concat, &state->head1, &state->head_z, &r);
+  head2_.ForwardCached(r, &state->head2, &out);
+  return out(0, 0);
 }
 
 std::vector<nn::Parameter*> QueryFormer::Parameters() {
@@ -127,8 +118,6 @@ void QueryFormer::Train(const std::vector<plan::QueryPlan>& plans) {
   DACE_CHECK(!plans.empty());
   scalers_.Fit(plans);
   const size_t d = static_cast<size_t>(config_.d_model);
-  const size_t enc_dim =
-      encoder_ ? static_cast<size_t>(encoder_->EncodingDim()) : 0;
 
   // Pre-extract inputs, masks, encodings, labels.
   std::vector<Matrix> inputs, masks;
@@ -143,62 +132,52 @@ void QueryFormer::Train(const std::vector<plan::QueryPlan>& plans) {
         scalers_.time.Transform(plan.node(plan.root()).actual_time_ms));
   }
 
+  GradientSinks sinks;
   RunAdamTraining(config_.train, plans.size(), Parameters(), [&](size_t idx) {
-    const Matrix super = ForwardBody(inputs[idx], masks[idx], /*train=*/true);
-
-    Matrix concat(1, d + enc_dim);
-    for (size_t j = 0; j < d; ++j) concat(0, j) = super(0, j);
-    for (size_t j = 0; j < enc_dim; ++j) concat(0, d + j) = encodings[idx][j];
-    const Matrix& out = head2_.Forward(head_relu_.Forward(head1_.Forward(concat)));
-    const double residual = out(0, 0) - labels[idx];
+    ForwardState state;
+    const double residual =
+        Forward(inputs[idx], masks[idx], encodings[idx], &state) - labels[idx];
 
     // Head backward.
     Matrix dout(1, 1), dr, dz, dconcat;
     dout(0, 0) = HuberGrad(residual);
-    head2_.Backward(dout, &dr);
-    head_relu_.Backward(dr, &dz);
-    head1_.Backward(dz, &dconcat);
+    sinks.Backward(&head2_, state.head2, dout, &dr);
+    nn::ReluBackward(state.head_z, dr, &dz);
+    sinks.Backward(&head1_, state.head1, dz, &dconcat);
 
     // Body backward: gradient only flows through the super-node row.
     const size_t rows = inputs[idx].rows();
     Matrix dh(rows, d);
     for (size_t j = 0; j < d; ++j) dh(0, j) = dconcat(0, j);
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      EncoderLayer& layer = **it;
+    for (size_t l = layers_.size(); l-- > 0;) {
+      EncoderLayer& layer = *layers_[l];
+      const LayerState& ls = state.layers[l];
       // out = h1 + ffn(h1): dh1 = dh + d(ffn path).
       Matrix df2, drelu, df1;
-      layer.ffn2.Backward(dh, &df2);
-      layer.relu.Backward(df2, &drelu);
-      layer.ffn1.Backward(drelu, &df1);
+      sinks.Backward(&layer.ffn2, ls.ffn2, dh, &df2);
+      nn::ReluBackward(ls.z1, df2, &drelu);
+      sinks.Backward(&layer.ffn1, ls.ffn1, drelu, &df1);
       Matrix dh1 = dh;
       dh1.AddScaled(df1, 1.0);
       // h1 = hin + attn(hin): dhin = dh1 + d(attn path).
       Matrix dattn;
-      layer.attention.Backward(dh1, &dattn);
+      sinks.Backward(&layer.attention, ls.attention, dh1, &dattn);
       dh = dh1;
       dh.AddScaled(dattn, 1.0);
     }
     Matrix dinput;
-    embed_.Backward(dh, &dinput);
+    sinks.Backward(&embed_, state.embed, dh, &dinput);
     return HuberLoss(residual);
   });
 }
 
 double QueryFormer::PredictMs(const plan::QueryPlan& plan) const {
-  const Matrix input = BuildInput(plan);
-  const Matrix mask = BuildMask(plan);
-  const Matrix super = ForwardBodyInference(input, mask);
-  const size_t d = static_cast<size_t>(config_.d_model);
   const std::vector<double> encoding =
       encoder_ ? encoder_->Encode(plan) : std::vector<double>();
-  Matrix concat(1, d + encoding.size());
-  for (size_t j = 0; j < d; ++j) concat(0, j) = super(0, j);
-  for (size_t j = 0; j < encoding.size(); ++j) concat(0, d + j) = encoding[j];
-  Matrix z, r, out;
-  head1_.ForwardInference(concat, &z);
-  head_relu_.ForwardInference(z, &r);
-  head2_.ForwardInference(r, &out);
-  return ClampPredictionMs(scalers_.time.InverseTransform(out(0, 0)));
+  ForwardState state;
+  const double pred =
+      Forward(BuildInput(plan), BuildMask(plan), encoding, &state);
+  return ClampPredictionMs(scalers_.time.InverseTransform(pred));
 }
 
 size_t QueryFormer::ParameterCount() const {

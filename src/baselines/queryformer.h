@@ -56,19 +56,30 @@ class QueryFormer : public core::CostEstimator {
   struct EncoderLayer {
     nn::TreeAttention attention;
     nn::Linear ffn1, ffn2;
-    nn::Relu relu;
+  };
+  // Caches of one forward pass, enough to backpropagate.
+  struct LayerState {
+    nn::TreeAttention::Cache attention;
+    nn::Linear::ExternalCache ffn1, ffn2;
+    nn::Matrix z1;  // ffn1 pre-activation
+  };
+  struct ForwardState {
+    nn::Linear::ExternalCache embed;
+    std::vector<LayerState> layers;
+    nn::Linear::ExternalCache head1, head2;
+    nn::Matrix head_z;  // head1 pre-activation
   };
 
   // Rows: super node then DFS nodes.
   nn::Matrix BuildInput(const plan::QueryPlan& plan) const;
   nn::Matrix BuildMask(const plan::QueryPlan& plan) const;
 
-  // Forward to the super-node representation (1 × d_model). `train` selects
-  // the caching forward path.
-  nn::Matrix ForwardBody(const nn::Matrix& input, const nn::Matrix& mask,
-                         bool train);
-  nn::Matrix ForwardBodyInference(const nn::Matrix& input,
-                                  const nn::Matrix& mask) const;
+  // Encoder stack, then the head over [super-node row, encoding]: the
+  // scaled-log-time prediction, keeping in *state what backward needs.
+  // Training and inference both run this body.
+  double Forward(const nn::Matrix& input, const nn::Matrix& mask,
+                 const std::vector<double>& encoding,
+                 ForwardState* state) const;
 
   std::vector<nn::Parameter*> Parameters();
 
@@ -79,7 +90,6 @@ class QueryFormer : public core::CostEstimator {
   nn::Linear embed_;
   std::vector<std::unique_ptr<EncoderLayer>> layers_;
   nn::Linear head1_, head2_;
-  nn::Relu head_relu_;
 };
 
 }  // namespace dace::baselines

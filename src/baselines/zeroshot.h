@@ -43,16 +43,29 @@ class ZeroShot : public core::CostEstimator {
   struct NodeState {
     nn::Linear::ExternalCache c1, c2;
     nn::Matrix z1, z2;
+    nn::Matrix msg;  // relu(z2): the node's hidden message
     int type = 0;
-    size_t num_children = 0;
+  };
+  // Caches of one whole-plan forward: per-node states plus the head's.
+  struct ForwardState {
+    std::vector<NodeState> nodes;  // indexed by node id
+    nn::Linear::ExternalCache hc1, hc2;
+    nn::Matrix hz1;
   };
 
   nn::Matrix NodeInput(const plan::PlanNode& node,
                        const nn::Matrix& child_mean) const;
 
-  // Post-order forward; returns the node's hidden message (1 × message_dim).
-  nn::Matrix ForwardNode(const plan::QueryPlan& plan, int32_t id,
-                         std::vector<NodeState>* states) const;
+  // Post-order forward over node `id`; fills states (indexed by node id,
+  // sized plan.size()) and returns the node's hidden message states[id].msg
+  // (1 × message_dim).
+  const nn::Matrix& ForwardNode(const plan::QueryPlan& plan, int32_t id,
+                                std::vector<NodeState>* states) const;
+
+  // Message passing plus head: the scaled-log-time prediction of the root,
+  // keeping in *state what backward needs. Training and inference both run
+  // this body.
+  double Forward(const plan::QueryPlan& plan, ForwardState* state) const;
 
   std::vector<nn::Parameter*> Parameters();
 

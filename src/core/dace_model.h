@@ -201,7 +201,7 @@ class DaceModel {
   void EnsureF32Weights() const;
 
   // Pre-trained-encoder API: the root row of the second hidden layer
-  // (h2, 64-dim), the w_E of Eq. (9).
+  // (h2, 64-dim), the w_E of Eq. (9), read off the PredictAllInto forward.
   std::vector<double> EncodeRoot(const featurize::PlanFeatures& features) const;
   int EncodingDim() const { return config_.hidden2; }
 
@@ -294,7 +294,6 @@ class DaceModel {
   Rng rng_;
   nn::TreeAttention attention_;
   nn::Linear fc1_, fc2_, fc3_;
-  nn::Relu relu1_, relu2_;
   bool lora_attached_ = false;
   uint64_t weights_version_ = 1;
   ThreadPool* pool_ = nullptr;

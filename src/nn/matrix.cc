@@ -183,6 +183,15 @@ void ReluInto(const Matrix& z, Matrix* h) {
   kernel::Active().relu(z.size(), z.data(), h->data());
 }
 
+void ReluBackward(const Matrix& z, const Matrix& dy, Matrix* dx) {
+  DACE_CHECK(dy.SameShape(z));
+  if (!dx->SameShape(dy)) dx->Resize(dy.rows(), dy.cols());
+  const double* g = dy.data();
+  const double* x = z.data();
+  double* out = dx->data();
+  for (size_t i = 0; i < dy.size(); ++i) out[i] = x[i] > 0.0 ? g[i] : 0.0;
+}
+
 void MaskedRowSoftmax(const Matrix& in, const Matrix& mask, Matrix* out) {
   DACE_CHECK(in.SameShape(mask));
   if (!out->SameShape(in)) out->Resize(in.rows(), in.cols());

@@ -142,6 +142,23 @@ TEST_P(LearnedBaselineTest, LearnsTrainingDistribution) {
   EXPECT_LT(summary.median, 3.0) << factory.name;
 }
 
+TEST_P(LearnedBaselineTest, TrainingAndInferenceAreDeterministic) {
+  // Two models from one Config trained on the same plans agree bit for bit
+  // on held-out plans, and a repeated PredictMs returns the same bits: no
+  // layer carries state from one call into the next.
+  const auto factory = AllLearnedFactories()[static_cast<size_t>(GetParam())];
+  auto a = factory.make();
+  auto b = factory.make();
+  const auto train = ImdbPlans(24, 37);
+  a->Train(train);
+  b->Train(train);
+  for (const auto& plan : ImdbPlans(12, 41)) {
+    const double first = a->PredictMs(plan);
+    EXPECT_EQ(first, b->PredictMs(plan)) << factory.name;
+    EXPECT_EQ(first, a->PredictMs(plan)) << factory.name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Models, LearnedBaselineTest, ::testing::Range(0, 5));
 
 // ------------------------------------------------------ Architecture ----

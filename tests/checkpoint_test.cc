@@ -48,8 +48,12 @@ std::vector<plan::QueryPlan> SamplePlans(int count, uint64_t seed) {
                                       seed);
 }
 
+// Per-process: gtest_discover_tests runs every case of a suite as its own
+// process, each with its own SetUpTestSuite/TearDownTestSuite over the same
+// TempDir(), so a shared file name would let one process's teardown delete
+// the checkpoint a sibling is about to load.
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "." + name;
 }
 
 class CheckpointFuzzTest : public ::testing::Test {
@@ -80,7 +84,7 @@ class CheckpointFuzzTest : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
-    std::remove(path_->c_str());
+    if (path_ != nullptr) std::remove(path_->c_str());
     delete plans_;
     delete probes_;
     delete donor_;
@@ -89,6 +93,13 @@ class CheckpointFuzzTest : public ::testing::Test {
     delete blob_;
     delete baseline_sub_;
     delete baseline_ms_;
+  }
+
+  // A failed ASSERT in SetUpTestSuite does not fail any test by itself; fail
+  // every case instead of letting it run against a half-built fixture.
+  void SetUp() override {
+    ASSERT_TRUE(blob_ != nullptr && !blob_->empty() && victim_ != nullptr)
+        << "CheckpointFuzzTest suite fixture did not build";
   }
 
   // Loads `bytes` into the shared victim and asserts: non-OK status, no
