@@ -194,6 +194,21 @@ void BM_OptimizerBuildPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizerBuildPlan);
 
+// The whole candidate set per spec, same specs as above: what a ChoosePlan
+// call spends before the scorer runs.
+void BM_OptimizerEnumerateCandidates(benchmark::State& state) {
+  Fixture& f = GetFixture();
+  const engine::Optimizer optimizer(&f.db);
+  const auto specs =
+      engine::GenerateQueries(f.db, engine::WorkloadKind::kComplex, 32, 3);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        optimizer.EnumerateCandidates(specs[i++ % specs.size()]));
+  }
+}
+BENCHMARK(BM_OptimizerEnumerateCandidates);
+
 void BM_SimulateExecution(benchmark::State& state) {
   Fixture& f = GetFixture();
   const engine::MachineProfile m1 = engine::MachineM1();

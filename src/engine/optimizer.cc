@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -49,8 +48,8 @@ class NativeCostChoice final : public core::PlanChoiceEstimator {
   }
 };
 
-// True when `table_id` has a spec edge to any id in `joined` with the other
-// endpoint being `table_id` itself.
+// True when one of the spec's join edges links `table_id` to a table that
+// is already in `joined`.
 bool ConnectsToJoined(const Database& db, const QuerySpec& spec,
                       int32_t table_id, const std::vector<int32_t>& joined) {
   for (const int32_t edge_id : spec.join_edge_ids) {
@@ -72,35 +71,50 @@ const core::PlanChoiceEstimator& Optimizer::NativeScorer() {
   return *scorer;
 }
 
+std::vector<Optimizer::ScanStats> Optimizer::ComputeScanStats(
+    const QuerySpec& spec) const {
+  std::vector<ScanStats> scans(spec.tables.size());
+  for (size_t k = 0; k < spec.tables.size(); ++k) {
+    const TableRef& ref = spec.tables[k];
+    const Table& table = db_->tables[static_cast<size_t>(ref.table_id)];
+    ScanStats& s = scans[k];
+    // Annotate each predicate with the optimizer's estimate (EXPLAIN shows
+    // per-qual selectivities implicitly through row counts).
+    s.filters = ref.filters;
+    for (plan::FilterPredicate& f : s.filters) {
+      f.est_selectivity = selectivity_.EstimatedPredicate(ref.table_id, f);
+    }
+    s.est_sel = selectivity_.EstimatedConjunction(ref.table_id, s.filters);
+    s.true_sel = selectivity_.TrueConjunction(ref.table_id, s.filters);
+    // An index path can only be taken (chosen or forced) when a filtered
+    // column is indexed. A bitmap scan's index covers the first such qual.
+    for (size_t i = 0; i < s.filters.size(); ++i) {
+      if (table.columns[static_cast<size_t>(s.filters[i].column_id)].indexed) {
+        s.can_index = true;
+        s.bitmap_qual = i;
+        s.bitmap_true_sel =
+            selectivity_.TruePredicate(ref.table_id, s.filters[i]);
+        break;
+      }
+    }
+  }
+  return scans;
+}
+
 Optimizer::SubPlan Optimizer::BuildScan(const TableRef& ref,
+                                        const ScanStats& stats,
                                         AccessPathChoice forced,
                                         QueryPlan* plan) const {
   const Table& table = db_->tables[static_cast<size_t>(ref.table_id)];
   const double rows = static_cast<double>(table.row_count);
-
-  // Annotate each predicate with the optimizer's estimate (EXPLAIN shows
-  // per-qual selectivities implicitly through row counts).
-  std::vector<plan::FilterPredicate> filters = ref.filters;
-  for (plan::FilterPredicate& f : filters) {
-    f.est_selectivity = selectivity_.EstimatedPredicate(ref.table_id, f);
-  }
-
-  const double est_sel = selectivity_.EstimatedConjunction(ref.table_id, filters);
-  const double true_sel = selectivity_.TrueConjunction(ref.table_id, filters);
+  const std::vector<plan::FilterPredicate>& filters = stats.filters;
+  const double est_sel = stats.est_sel;
   const double est_card = ClampCard(rows * est_sel);
-  const double act_card = ClampCard(rows * true_sel);
+  const double act_card = ClampCard(rows * stats.true_sel);
 
-  // Access-path choice on ESTIMATES, like a real optimizer. An index path
-  // can only be taken (chosen or forced) when a filtered column is indexed;
-  // an inapplicable forcing degrades to the sequential scan.
-  bool any_indexed = false;
-  for (const plan::FilterPredicate& f : filters) {
-    if (table.columns[static_cast<size_t>(f.column_id)].indexed) {
-      any_indexed = true;
-      break;
-    }
-  }
-  const bool can_index = !filters.empty() && any_indexed;
+  // Access-path choice on ESTIMATES, like a real optimizer; an inapplicable
+  // forcing degrades to the sequential scan.
+  const bool can_index = stats.can_index;
   bool use_index = false;
   bool use_bitmap = false;
   switch (forced) {
@@ -156,17 +170,9 @@ Optimizer::SubPlan Optimizer::BuildScan(const TableRef& ref,
     // priced through cpu_index_tuple_cost, not as an extra filter. The heap
     // scan consumes that stream and rechecks the REMAINING quals — charging
     // all of them again would double-count the index qual.
-    size_t bitmap_qual = 0;
-    for (size_t i = 0; i < filters.size(); ++i) {
-      if (table.columns[static_cast<size_t>(filters[i].column_id)].indexed) {
-        bitmap_qual = i;
-        break;
-      }
-    }
     const double bitmap_est =
-        ClampCard(rows * filters[bitmap_qual].est_selectivity);
-    const double bitmap_act = ClampCard(
-        rows * selectivity_.TruePredicate(ref.table_id, filters[bitmap_qual]));
+        ClampCard(rows * filters[stats.bitmap_qual].est_selectivity);
+    const double bitmap_act = ClampCard(rows * stats.bitmap_true_sel);
 
     PlanNode bitmap;
     bitmap.type = OperatorType::kBitmapIndexScan;
@@ -242,12 +248,13 @@ Optimizer::SubPlan Optimizer::AddUnary(OperatorType type, const SubPlan& input,
 
 Optimizer::SubPlan Optimizer::BuildJoin(const SubPlan& left,
                                         const TableRef& right_ref,
+                                        const ScanStats& right_stats,
                                         AccessPathChoice right_forced,
                                         const JoinEdge& edge,
                                         double parent_true_sel,
                                         JoinMethodChoice forced,
                                         QueryPlan* plan) const {
-  SubPlan right = BuildScan(right_ref, right_forced, plan);
+  SubPlan right = BuildScan(right_ref, right_stats, right_forced, plan);
 
   const double jsel_est = selectivity_.EstimatedJoin(edge);
   const double jsel_true = selectivity_.TrueJoin(edge, parent_true_sel);
@@ -341,18 +348,19 @@ QueryPlan Optimizer::BuildPlan(const QuerySpec& spec) const {
 QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
                                             const PlanDecisions& decisions) const {
   DACE_CHECK_OK(ValidateSpec(*db_, spec));
+  return Build(spec, ComputeScanStats(spec), decisions);
+}
+
+QueryPlan Optimizer::Build(const QuerySpec& spec,
+                           const std::vector<ScanStats>& scans,
+                           const PlanDecisions& decisions) const {
   QueryPlan plan;
   const size_t num_tables = spec.tables.size();
 
   // Per-table true conjunction selectivity, for join correlation boosts.
-  std::vector<double> true_sels(num_tables, 1.0);
-  for (size_t k = 0; k < num_tables; ++k) {
-    true_sels[k] = selectivity_.TrueConjunction(spec.tables[k].table_id,
-                                                spec.tables[k].filters);
-  }
   const auto true_sel_of_table = [&](int32_t table_id) {
     for (size_t k = 0; k < num_tables; ++k) {
-      if (spec.tables[k].table_id == table_id) return true_sels[k];
+      if (spec.tables[k].table_id == table_id) return scans[k].true_sel;
     }
     return 1.0;
   };
@@ -380,11 +388,12 @@ QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
 
   SubPlan current;
   if (spec_order) {
-    current = BuildScan(spec.tables[0], path_of(0), &plan);
+    current = BuildScan(spec.tables[0], scans[0], path_of(0), &plan);
     for (size_t k = 0; k < spec.join_edge_ids.size(); ++k) {
       const JoinEdge& edge =
           db_->join_edges[static_cast<size_t>(spec.join_edge_ids[k])];
-      current = BuildJoin(current, spec.tables[k + 1], path_of(k + 1), edge,
+      current = BuildJoin(current, spec.tables[k + 1], scans[k + 1],
+                          path_of(k + 1), edge,
                           true_sel_of_table(edge.to_table), method_of(k),
                           &plan);
     }
@@ -395,7 +404,7 @@ QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
     std::vector<bool> edge_used(spec.join_edge_ids.size(), false);
     std::vector<int32_t> joined_ids;
     const auto first = static_cast<size_t>(decisions.table_order[0]);
-    current = BuildScan(spec.tables[first], path_of(0), &plan);
+    current = BuildScan(spec.tables[first], scans[first], path_of(0), &plan);
     joined_ids.push_back(spec.tables[first].table_id);
     for (size_t k = 1; k < num_tables; ++k) {
       const auto pos = static_cast<size_t>(decisions.table_order[k]);
@@ -417,9 +426,9 @@ QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
       edge_used[static_cast<size_t>(edge_slot)] = true;
       const JoinEdge& edge = db_->join_edges[static_cast<size_t>(
           spec.join_edge_ids[static_cast<size_t>(edge_slot)])];
-      current = BuildJoin(current, spec.tables[pos], path_of(k), edge,
-                          true_sel_of_table(edge.to_table), method_of(k - 1),
-                          &plan);
+      current = BuildJoin(current, spec.tables[pos], scans[pos], path_of(k),
+                          edge, true_sel_of_table(edge.to_table),
+                          method_of(k - 1), &plan);
       joined_ids.push_back(next_id);
     }
   }
@@ -463,13 +472,20 @@ QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
 
 std::vector<QueryPlan> Optimizer::EnumerateCandidates(
     const QuerySpec& spec, const CandidateOptions& options) const {
+  DACE_CHECK_GE(options.max_candidates, 1);
+  DACE_CHECK_OK(ValidateSpec(*db_, spec));
+  const std::vector<ScanStats> scans = ComputeScanStats(spec);
   std::vector<QueryPlan> out;
-  std::set<std::string> seen;
+  std::vector<uint64_t> hashes;  // out[i].StructuralHash()
   // Returns true when the decisions produced a structurally new candidate.
   const auto add = [&](const PlanDecisions& decisions) {
     if (static_cast<int>(out.size()) >= options.max_candidates) return false;
-    QueryPlan plan = BuildPlanWithDecisions(spec, decisions);
-    if (!seen.insert(plan.ToText()).second) return false;
+    QueryPlan plan = Build(spec, scans, decisions);
+    const uint64_t hash = plan.StructuralHash();
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (hashes[i] == hash && out[i] == plan) return false;
+    }
+    hashes.push_back(hash);
     out.push_back(std::move(plan));
     return true;
   };

@@ -99,7 +99,11 @@ class Optimizer {
   // Deterministic bounded candidate set for `spec`. Candidate 0 is always
   // the classic BuildPlan result; the rest are single-slot join-method and
   // access-path perturbations plus alternative connected left-deep join
-  // orders, deduplicated structurally. Every candidate validates.
+  // orders. A candidate is dropped when it equals an earlier one: equal
+  // QueryPlan::StructuralHash confirmed by the exact structural operator==,
+  // so a hash collision never drops a distinct plan. The spec is validated
+  // and its scan statistics computed once, then shared by every candidate.
+  // Every candidate validates. `options.max_candidates` must be >= 1.
   std::vector<plan::QueryPlan> EnumerateCandidates(
       const QuerySpec& spec,
       const CandidateOptions& options = CandidateOptions()) const;
@@ -128,12 +132,35 @@ class Optimizer {
     double est_cost = 0.0;  // inclusive
   };
 
+  // What BuildScan derives from one table ref's filters alone. It does not
+  // depend on any decision, so one query computes it once per spec table
+  // and every candidate built for that query reads it.
+  struct ScanStats {
+    std::vector<plan::FilterPredicate> filters;  // est_selectivity annotated
+    double est_sel = 1.0;   // EstimatedConjunction
+    double true_sel = 1.0;  // TrueConjunction
+    bool can_index = false;    // some filtered column is indexed
+    size_t bitmap_qual = 0;    // the first indexed filter, when can_index
+    double bitmap_true_sel = 1.0;  // TruePredicate of that filter
+  };
+
+  // ScanStats per spec table, aligned with spec.tables.
+  std::vector<ScanStats> ComputeScanStats(const QuerySpec& spec) const;
+
+  // The build body shared by BuildPlan, BuildPlanWithDecisions and
+  // EnumerateCandidates. `spec` must already be validated and `scans` must
+  // be ComputeScanStats(spec).
+  plan::QueryPlan Build(const QuerySpec& spec,
+                        const std::vector<ScanStats>& scans,
+                        const PlanDecisions& decisions) const;
+
   // Builds the access path for one table ref.
-  SubPlan BuildScan(const TableRef& ref, AccessPathChoice forced,
-                    plan::QueryPlan* plan) const;
+  SubPlan BuildScan(const TableRef& ref, const ScanStats& stats,
+                    AccessPathChoice forced, plan::QueryPlan* plan) const;
 
   // Joins `left` with a fresh scan of `right_ref` along `edge`.
   SubPlan BuildJoin(const SubPlan& left, const TableRef& right_ref,
+                    const ScanStats& right_stats,
                     AccessPathChoice right_forced, const JoinEdge& edge,
                     double parent_true_sel, JoinMethodChoice forced,
                     plan::QueryPlan* plan) const;

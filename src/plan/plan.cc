@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -231,10 +232,95 @@ std::string QueryPlan::ToText() const {
   return out;
 }
 
+namespace {
+
+// StructuralHash and SameSubtree read the fields AppendNodeText prints, in
+// its order; a field added to the text form must be added to both.
+void HashNode(const QueryPlan& plan, int32_t id, uint64_t depth, Hash64* h) {
+  const PlanNode& node = plan.node(id);
+  h->AddU64(depth);
+  h->AddU64(node.children.size());
+  h->AddU64(static_cast<uint64_t>(node.type));
+  h->AddDouble(node.est_cardinality);
+  h->AddDouble(node.est_cost);
+  h->AddDouble(node.actual_cardinality);
+  h->AddDouble(node.actual_time_ms);
+  const NodeAnnotation& a = node.annotation;
+  if (a.table_id >= 0) {
+    h->AddU64(static_cast<uint64_t>(a.table_id));
+    h->AddDouble(a.table_rows);
+  }
+  if (a.left_table >= 0) {
+    h->AddU64(static_cast<uint64_t>(a.left_table));
+    h->AddU64(static_cast<uint32_t>(a.left_column));
+    h->AddU64(static_cast<uint32_t>(a.right_table));
+    h->AddU64(static_cast<uint32_t>(a.right_column));
+  }
+  h->AddU64(a.filters.size());
+  for (const FilterPredicate& f : a.filters) {
+    h->AddU64(static_cast<uint32_t>(f.column_id));
+    h->AddU64(static_cast<uint64_t>(f.op));
+    h->AddDouble(f.literal);
+    h->AddDouble(f.est_selectivity);
+  }
+  for (int32_t child : node.children) HashNode(plan, child, depth + 1, h);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+bool SameSubtree(const QueryPlan& x, int32_t xi, const QueryPlan& y,
+                 int32_t yi) {
+  const PlanNode& m = x.node(xi);
+  const PlanNode& n = y.node(yi);
+  if (m.type != n.type || m.children.size() != n.children.size() ||
+      !SameBits(m.est_cardinality, n.est_cardinality) ||
+      !SameBits(m.est_cost, n.est_cost) ||
+      !SameBits(m.actual_cardinality, n.actual_cardinality) ||
+      !SameBits(m.actual_time_ms, n.actual_time_ms)) {
+    return false;
+  }
+  const NodeAnnotation& a = m.annotation;
+  const NodeAnnotation& b = n.annotation;
+  if ((a.table_id >= 0) != (b.table_id >= 0)) return false;
+  if (a.table_id >= 0 &&
+      (a.table_id != b.table_id || !SameBits(a.table_rows, b.table_rows))) {
+    return false;
+  }
+  if ((a.left_table >= 0) != (b.left_table >= 0)) return false;
+  if (a.left_table >= 0 &&
+      (a.left_table != b.left_table || a.left_column != b.left_column ||
+       a.right_table != b.right_table || a.right_column != b.right_column)) {
+    return false;
+  }
+  if (a.filters.size() != b.filters.size()) return false;
+  for (size_t i = 0; i < a.filters.size(); ++i) {
+    const FilterPredicate& f = a.filters[i];
+    const FilterPredicate& g = b.filters[i];
+    if (f.column_id != g.column_id || f.op != g.op ||
+        !SameBits(f.literal, g.literal) ||
+        !SameBits(f.est_selectivity, g.est_selectivity)) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < m.children.size(); ++i) {
+    if (!SameSubtree(x, m.children[i], y, n.children[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+uint64_t QueryPlan::StructuralHash() const {
+  Hash64 h;
+  if (root_ >= 0) HashNode(*this, root_, 0, &h);
+  return h.digest();
+}
+
 bool QueryPlan::operator==(const QueryPlan& other) const {
-  // Structural equality: the text form canonicalizes node order via DFS, so
-  // two plans with different internal node numbering still compare equal.
-  return ToText() == other.ToText();
+  if (root_ < 0 || other.root_ < 0) return root_ < 0 && other.root_ < 0;
+  return SameSubtree(*this, root_, other, other.root_);
 }
 
 StatusOr<QueryPlan> ParsePlanText(std::string_view text) {

@@ -141,6 +141,18 @@ class QueryPlan {
   // EXPLAIN-like indented text form (stable, parseable by ParsePlanText).
   std::string ToText() const;
 
+  // Structural fingerprint: a Hash64 over exactly the fields ToText prints,
+  // in the same preorder from the root, with doubles taken by bit pattern.
+  // Plans that compare equal hash equal; unequal plans collide with ~2^-64
+  // odds, so a hash match is confirmed with operator== before it is trusted.
+  uint64_t StructuralHash() const;
+
+  // Structural equality without rendering text: walks both trees in
+  // preorder and compares the fields ToText prints, doubles by bit pattern
+  // (%.17g round-trips, so for finite values this is exactly
+  // `ToText() == other.ToText()`, -0.0 != 0.0 included). Internal node
+  // numbering and the fields ToText omits (table_rows without a table, the
+  // join quad without a left table, unreachable nodes) do not matter.
   bool operator==(const QueryPlan& other) const;
 
  private:

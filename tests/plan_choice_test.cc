@@ -20,6 +20,7 @@
 #include "engine/machine.h"
 #include "engine/optimizer.h"
 #include "engine/workload.h"
+#include "util/checksum.h"
 
 namespace dace::engine {
 namespace {
@@ -269,6 +270,62 @@ TEST_F(PlanChoiceTest, AlternativeJoinOrdersAreConnectedAndBounded) {
       EXPECT_EQ(scanned, expected) << candidate.ToText();
     }
   }
+}
+
+// A cap below one would leave ChoosePlan nothing to choose from; the
+// enumerator rejects it up front instead of returning an empty set.
+TEST_F(PlanChoiceTest, NonPositiveCandidateCapDies) {
+  const QuerySpec spec = Specs(1, 15)[0];
+  for (const int cap : {0, -3}) {
+    CandidateOptions options;
+    options.max_candidates = cap;
+    EXPECT_DEATH((void)optimizer_.ChoosePlan(spec, options), "max_candidates");
+    EXPECT_DEATH((void)optimizer_.EnumerateCandidates(spec, options),
+                 "max_candidates");
+  }
+}
+
+// CRC-32 digests of the optimizer's output bytes over a fixed spec set.
+struct OutputDigest {
+  size_t candidates = 0;          // total over all specs
+  uint32_t candidates_crc = 0;    // every candidate's ToText(), in order
+  uint32_t build_plan_crc = 0;    // every BuildPlan(spec).ToText()
+};
+
+OutputDigest DigestOf(const Database& db, int count, uint64_t seed) {
+  const Optimizer optimizer(&db);
+  Crc32 candidates_crc;
+  Crc32 build_plan_crc;
+  OutputDigest digest;
+  for (const QuerySpec& spec :
+       GenerateQueries(db, WorkloadKind::kComplex, count, seed)) {
+    for (const QueryPlan& candidate : optimizer.EnumerateCandidates(spec)) {
+      const std::string text = candidate.ToText();
+      candidates_crc.Update(text.data(), text.size());
+      ++digest.candidates;
+    }
+    const std::string text = optimizer.BuildPlan(spec).ToText();
+    build_plan_crc.Update(text.data(), text.size());
+  }
+  digest.candidates_crc = candidates_crc.digest();
+  digest.build_plan_crc = build_plan_crc.digest();
+  return digest;
+}
+
+// Golden bytes: the constants were computed with the enumerator that
+// deduplicated candidates by their ToText() strings. Candidate content,
+// order and count must not move, and neither may BuildPlan, through which
+// every training corpus is built.
+TEST(PlanChoiceGoldenTest, EnumeratorAndBuildPlanBytesArePinned) {
+  const OutputDigest imdb = DigestOf(BuildImdbLike(42), 300, 21);
+  EXPECT_EQ(imdb.candidates, 2687u);
+  EXPECT_EQ(imdb.candidates_crc, 0x0d6fa11au);
+  EXPECT_EQ(imdb.build_plan_crc, 0x3c2628ecu);
+
+  const OutputDigest tpch = DigestOf(BuildTpchLike(42), 100, 22);
+  EXPECT_EQ(tpch.candidates, 895u);
+  EXPECT_EQ(tpch.candidates_crc, 0x6452b644u);
+  EXPECT_EQ(tpch.build_plan_crc, 0x5949ecbeu);
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -257,6 +263,172 @@ TEST(PlanTextTest, RoundTripPreservesAnnotations) {
   const PlanNode& join = parsed->node(dfs[0]);
   EXPECT_EQ(join.annotation.left_table, 0);
   EXPECT_EQ(join.annotation.right_column, 2);
+}
+
+// SmallJoinPlan with every annotation ToText prints populated: table rows
+// on both scans, two filters on the left scan, one on the right.
+QueryPlan AnnotatedJoinPlan() {
+  QueryPlan plan = SmallJoinPlan();
+  plan.mutable_node(0).annotation.table_rows = 1e6;
+  plan.mutable_node(1).annotation.table_rows = 2500.0;
+  FilterPredicate f;
+  f.column_id = 2;
+  f.op = CompareOp::kLe;
+  f.literal = -7.25;
+  f.est_selectivity = 0.125;
+  plan.mutable_node(0).annotation.filters.push_back(f);
+  f.column_id = 4;
+  f.op = CompareOp::kNe;
+  f.literal = 3.0;
+  f.est_selectivity = 0.75;
+  plan.mutable_node(0).annotation.filters.push_back(f);
+  plan.mutable_node(1).annotation.filters.push_back(f);
+  return plan;
+}
+
+// The same tree with its node arena stored in reverse order.
+QueryPlan Renumbered(const QueryPlan& plan) {
+  const auto n = static_cast<int32_t>(plan.size());
+  QueryPlan out;
+  for (int32_t i = n - 1; i >= 0; --i) {
+    PlanNode node = plan.node(i);
+    for (int32_t& child : node.children) child = n - 1 - child;
+    out.AddNode(std::move(node));
+  }
+  out.SetRoot(n - 1 - plan.root());
+  return out;
+}
+
+// operator== must agree with text equality both ways, and equal text must
+// mean an equal structural hash. Returns whether the texts were equal.
+bool ExpectEqualityMatchesText(const QueryPlan& a, const QueryPlan& b) {
+  const bool same_text = a.ToText() == b.ToText();
+  EXPECT_EQ(a == b, same_text) << a.ToText() << "vs\n" << b.ToText();
+  EXPECT_EQ(b == a, same_text);
+  if (same_text) {
+    EXPECT_EQ(a.StructuralHash(), b.StructuralHash());
+  }
+  return same_text;
+}
+
+double NextUp(double x) {
+  return std::nextafter(x, std::numeric_limits<double>::infinity());
+}
+
+TEST(PlanEqualityTest, MatchesTextUnderSingleFieldMutations) {
+  // One-ulp steps on the doubles: %.17g tells them apart, so equality must.
+  const std::vector<std::function<void(PlanNode*)>> mutations = {
+      [](PlanNode* n) {
+        n->type = static_cast<OperatorType>(
+            (static_cast<int>(n->type) + 1) % kNumOperatorTypes);
+      },
+      [](PlanNode* n) { n->est_cardinality = NextUp(n->est_cardinality); },
+      [](PlanNode* n) { n->est_cost = NextUp(n->est_cost); },
+      [](PlanNode* n) { n->actual_cardinality = NextUp(n->actual_cardinality); },
+      [](PlanNode* n) { n->actual_time_ms = NextUp(n->actual_time_ms); },
+      [](PlanNode* n) { n->annotation.table_id += 1; },
+      [](PlanNode* n) { n->annotation.table_id = -1; },
+      [](PlanNode* n) { n->annotation.table_rows = NextUp(n->annotation.table_rows); },
+      [](PlanNode* n) { n->annotation.left_table += 1; },
+      [](PlanNode* n) { n->annotation.left_table = -1; },
+      [](PlanNode* n) { n->annotation.left_column += 1; },
+      [](PlanNode* n) { n->annotation.right_table += 1; },
+      [](PlanNode* n) { n->annotation.right_column += 1; },
+      [](PlanNode* n) { n->annotation.filters.push_back(FilterPredicate{}); },
+      [](PlanNode* n) {
+        if (!n->annotation.filters.empty()) n->annotation.filters.pop_back();
+      },
+      [](PlanNode* n) {
+        for (FilterPredicate& f : n->annotation.filters) f.column_id += 1;
+      },
+      [](PlanNode* n) {
+        for (FilterPredicate& f : n->annotation.filters) {
+          f.op = static_cast<CompareOp>((static_cast<int>(f.op) + 1) % 6);
+        }
+      },
+      [](PlanNode* n) {
+        for (FilterPredicate& f : n->annotation.filters) f.literal = NextUp(f.literal);
+      },
+      [](PlanNode* n) {
+        for (FilterPredicate& f : n->annotation.filters) {
+          f.est_selectivity = NextUp(f.est_selectivity);
+        }
+      },
+      [](PlanNode* n) {
+        std::reverse(n->children.begin(), n->children.end());
+      },
+  };
+
+  std::vector<QueryPlan> plans = {SmallJoinPlan(), AnnotatedJoinPlan()};
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    plans.push_back(RandomPlan(9, 900 + seed));
+  }
+  std::vector<bool> ever_differs(mutations.size(), false);
+  for (const QueryPlan& base : plans) {
+    EXPECT_TRUE(ExpectEqualityMatchesText(base, base));
+    for (const QueryPlan& other : plans) ExpectEqualityMatchesText(base, other);
+    for (size_t id = 0; id < base.size(); ++id) {
+      for (size_t m = 0; m < mutations.size(); ++m) {
+        QueryPlan mutated = base;
+        mutations[m](&mutated.mutable_node(static_cast<int32_t>(id)));
+        if (!ExpectEqualityMatchesText(base, mutated)) ever_differs[m] = true;
+      }
+    }
+  }
+  // Every mutation changes the text of some plan: the sweep is not vacuous.
+  for (size_t m = 0; m < mutations.size(); ++m) {
+    EXPECT_TRUE(ever_differs[m]) << "mutation " << m;
+  }
+}
+
+TEST(PlanEqualityTest, FieldsTextOmitsDoNotMatter) {
+  const QueryPlan base = AnnotatedJoinPlan();
+
+  // table_rows without a table: the Hash node (2) has table_id -1.
+  QueryPlan rows = base;
+  rows.mutable_node(2).annotation.table_rows = 42.0;
+  EXPECT_TRUE(ExpectEqualityMatchesText(base, rows));
+
+  // The join quad without a left table: every field but left_table is
+  // invisible while left_table < 0.
+  QueryPlan no_join = base;
+  no_join.mutable_node(3).annotation.left_table = -1;
+  QueryPlan no_join_other = no_join;
+  no_join_other.mutable_node(3).annotation.left_column = 9;
+  no_join_other.mutable_node(3).annotation.right_table = 8;
+  no_join_other.mutable_node(3).annotation.right_column = 7;
+  EXPECT_TRUE(ExpectEqualityMatchesText(no_join, no_join_other));
+
+  // A different negative table id prints nothing either.
+  QueryPlan neg = base;
+  neg.mutable_node(2).annotation.table_id = -5;
+  EXPECT_TRUE(ExpectEqualityMatchesText(base, neg));
+
+  // Node numbering inside the arena.
+  for (const QueryPlan& plan : {base, RandomPlan(15, 77)}) {
+    const QueryPlan renumbered = Renumbered(plan);
+    ASSERT_TRUE(renumbered.Validate().ok());
+    EXPECT_NE(renumbered.root(), plan.root());
+    EXPECT_TRUE(ExpectEqualityMatchesText(plan, renumbered));
+  }
+
+  // Empty plans equal each other and nothing else.
+  EXPECT_TRUE(ExpectEqualityMatchesText(QueryPlan(), QueryPlan()));
+  EXPECT_FALSE(ExpectEqualityMatchesText(QueryPlan(), base));
+}
+
+TEST(PlanEqualityTest, NegativeZeroDiffersFromZero) {
+  QueryPlan pos = AnnotatedJoinPlan();
+  pos.mutable_node(3).est_cost = 0.0;
+  pos.mutable_node(0).annotation.filters[0].literal = 0.0;
+  QueryPlan neg_cost = pos;
+  neg_cost.mutable_node(3).est_cost = -0.0;
+  QueryPlan neg_literal = pos;
+  neg_literal.mutable_node(0).annotation.filters[0].literal = -0.0;
+  for (const QueryPlan* neg : {&neg_cost, &neg_literal}) {
+    EXPECT_FALSE(ExpectEqualityMatchesText(pos, *neg));
+    EXPECT_NE(pos.StructuralHash(), neg->StructuralHash());
+  }
 }
 
 TEST(PlanTextTest, ParseRejectsGarbage) {
