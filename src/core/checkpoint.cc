@@ -56,12 +56,6 @@ void AppendMismatch(const char* field, uint32_t saved, int live,
 
 }  // namespace
 
-bool HasCheckpointMagic(std::string_view blob) {
-  return blob.size() >= sizeof(kCheckpointMagic) &&
-         std::memcmp(blob.data(), kCheckpointMagic,
-                     sizeof(kCheckpointMagic)) == 0;
-}
-
 // --------------------------------------------------------------- writer --
 
 CheckpointWriter::CheckpointWriter(const DaceConfig& config) {

@@ -31,11 +31,7 @@ struct DaceConfig;
 //   trailer (8 bytes, always the last 8 bytes of the file)
 //     u32 trailer tag (0), u32 CRC-32 over every preceding byte
 //
-// Files that do not begin with the magic are treated as legacy "format 0":
-// the original headerless concatenation of featurizer + model bytes, kept
-// loadable so pre-existing fixtures and artifacts survive the upgrade.
-// Format-0 loads get the same transactional staging and shape validation,
-// but no checksum — the framing simply did not exist to carry one.
+// Input without the magic is rejected with DataLoss.
 // -----------------------------------------------------------------------
 
 inline constexpr char kCheckpointMagic[8] = {'D', 'A', 'C', 'E',
@@ -76,10 +72,6 @@ struct CheckpointHeader {
   uint32_t lora_r2 = 0;
   uint32_t lora_r3 = 0;
 };
-
-// True iff the buffer starts with the format-1 magic (i.e. is NOT a legacy
-// format-0 stream).
-bool HasCheckpointMagic(std::string_view blob);
 
 // Builds a format-1 checkpoint in memory: header up front, framed sections
 // through bytes(), CRC trailer on Finalize. Writing is infallible (memory

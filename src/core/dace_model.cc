@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <tuple>
@@ -715,20 +714,6 @@ void DaceModel::Serialize(ByteWriter* w) const {
   fc3_.Serialize(w);
 }
 
-Status DaceModel::Deserialize(ByteReader* r) {
-  StagedWeights staged;
-  DACE_RETURN_IF_ERROR(staged.attention.Deserialize(r));
-  DACE_RETURN_IF_ERROR(staged.fc1.Deserialize(r));
-  DACE_RETURN_IF_ERROR(staged.fc2.Deserialize(r));
-  DACE_RETURN_IF_ERROR(staged.fc3.Deserialize(r));
-  if (r->remaining() != 0) {
-    return Status::DataLoss("trailing garbage after the model weights");
-  }
-  DACE_RETURN_IF_ERROR(ValidateStaged(staged));
-  CommitStaged(std::move(staged));
-  return Status::OK();
-}
-
 void DaceModel::AppendSections(CheckpointWriter* w) const {
   w->BeginSection(kSectionAttention);
   attention_.Serialize(w->bytes());
@@ -903,20 +888,6 @@ void DaceEstimator::set_thread_pool(ThreadPool* pool) {
   // Worker scratch is re-sized for the new pool on the next batch call.
   batch_scratch_.clear();
   pack_scratch_.clear();
-}
-
-DaceEstimator::TierMode DaceEstimator::DefaultTierMode() {
-  static const TierMode mode = [] {
-    const char* env = std::getenv("DACE_TIER");
-    if (env == nullptr || env[0] == '\0') return TierMode::kAuto;
-    if (std::strcmp(env, "auto") == 0) return TierMode::kAuto;
-    if (std::strcmp(env, "teacher") == 0) return TierMode::kTeacherOnly;
-    if (std::strcmp(env, "student") == 0) return TierMode::kStudentOnly;
-    DACE_CHECK(false) << "unknown DACE_TIER value '" << env
-                      << "' (expected 'auto', 'teacher' or 'student')";
-    return TierMode::kAuto;
-  }();
-  return mode;
 }
 
 std::vector<featurize::PlanFeatures> DaceEstimator::FeaturizeAll(
@@ -1403,28 +1374,19 @@ Status DaceEstimator::LoadFromFile(const std::string& path) {
 }
 
 Status DaceEstimator::LoadFromString(std::string_view blob) {
+  CheckpointReader reader;
+  DACE_RETURN_IF_ERROR(reader.Init(blob));  // magic/version/endian/checksum
+  DACE_RETURN_IF_ERROR(reader.MatchesConfig(config_));
   featurize::Featurizer staged_featurizer;
-  if (HasCheckpointMagic(blob)) {
-    CheckpointReader reader;
-    DACE_RETURN_IF_ERROR(reader.Init(blob));  // magic/version/endian/checksum
-    DACE_RETURN_IF_ERROR(reader.MatchesConfig(config_));
-    ByteReader section;
-    DACE_RETURN_IF_ERROR(reader.EnterSection(kSectionFeaturizer, &section));
-    DACE_RETURN_IF_ERROR(staged_featurizer.Deserialize(&section));
-    if (section.remaining() != 0) {
-      return Status::DataLoss("featurizer section has trailing bytes");
-    }
-    // Commits the model weights only if every remaining section parses,
-    // validates against config_ and exhausts the file.
-    DACE_RETURN_IF_ERROR(model_.LoadSections(&reader));
-  } else {
-    // Legacy format 0: headerless featurizer + model stream. There is no
-    // checksum to verify, but the same staging discipline applies — a
-    // truncated legacy file cannot leave a half-old/half-new model.
-    ByteReader reader(blob.data(), blob.size());
-    DACE_RETURN_IF_ERROR(staged_featurizer.Deserialize(&reader));
-    DACE_RETURN_IF_ERROR(model_.Deserialize(&reader));
+  ByteReader section;
+  DACE_RETURN_IF_ERROR(reader.EnterSection(kSectionFeaturizer, &section));
+  DACE_RETURN_IF_ERROR(staged_featurizer.Deserialize(&section));
+  if (section.remaining() != 0) {
+    return Status::DataLoss("featurizer section has trailing bytes");
   }
+  // Commits the model weights only if every remaining section parses,
+  // validates against config_ and exhausts the file.
+  DACE_RETURN_IF_ERROR(model_.LoadSections(&reader));
   // Past this point nothing can fail: the model already committed (bumping
   // weights_version_, which invalidates the prediction cache), so the
   // featurizer must commit too.

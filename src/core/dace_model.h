@@ -218,30 +218,26 @@ class DaceModel {
   void set_lineage(std::string lineage) { lineage_ = std::move(lineage); }
 
   // Monotone counter identifying the current weights: bumped by every
-  // mutation of the parameters (Train, FineTuneLora, Deserialize). Cached
+  // mutation of the parameters (Train, FineTuneLora, LoadSections). Cached
   // predictions are valid exactly as long as this value is unchanged — the
   // prediction cache stores the version it was filled under and flushes on
   // mismatch.
   uint64_t weights_version() const { return weights_version_; }
 
-  // Legacy (checkpoint format 0) body layout: attention, fc1, fc2, fc3
-  // concatenated with no framing. Still the canonical flat weight image —
-  // the determinism tests compare these bytes directly.
+  // The canonical flat weight image: attention, fc1, fc2, fc3 concatenated
+  // with no framing. Write-only — the determinism tests compare these bytes
+  // directly; checkpoints go through AppendSections.
   void Serialize(ByteWriter* w) const;
 
-  // Transactional load of the legacy body: every layer is parsed into
-  // staging, every shape is validated against this model's config (including
-  // LoRA rank consistency), and the reader must be fully consumed — only
-  // then are the weights swapped in and weights_version_ bumped. On any
+  // Checkpoint sections: the same payload bytes, one framed section per
+  // component (plus, when the model is distilled, a trailing student
+  // section). LoadSections is transactional: every layer is parsed into
+  // staging, every shape is validated against this model's config
+  // (including LoRA rank consistency), and the section table must end
+  // exactly after fc3 — or after the optional student and lineage sections.
+  // Only then are the weights swapped in and weights_version_ bumped; on any
   // failure the live weights, LoRA state and version are untouched, so
   // cached predictions stay exactly as valid as they were.
-  Status Deserialize(ByteReader* r);
-
-  // Checkpoint-format-1 variants: the same payload bytes, one framed section
-  // per component (plus, when the model is distilled, a trailing student
-  // section). LoadSections has the same transactional contract as
-  // Deserialize and additionally requires the checkpoint's section table to
-  // end exactly after fc3 — or after the optional student section.
   void AppendSections(CheckpointWriter* w) const;
   Status LoadSections(CheckpointReader* r);
 
@@ -381,12 +377,10 @@ class DaceEstimator : public CostEstimator {
   //   kTeacherOnly     — ignore the student (reference behaviour; benches
   //                      that measure the teacher pin this).
   //   kStudentOnly     — never escalate (gate forced open; tests/benches).
-  // Process default is kAuto, overridable by DACE_TIER=auto|teacher|student
-  // (resolved once); this setter overrides per estimator. PredictMs (the
-  // single-plan path) is always teacher-only: tier routing is a property of
-  // the batched serving path.
+  // Every estimator starts at kAuto; set_tier_mode overrides it per
+  // estimator. PredictMs (the single-plan path) is always teacher-only: tier
+  // routing is a property of the batched serving path.
   enum class TierMode { kAuto = 0, kTeacherOnly = 1, kStudentOnly = 2 };
-  static TierMode DefaultTierMode();
   void set_tier_mode(TierMode mode) { tier_mode_ = mode; }
   TierMode tier_mode() const { return tier_mode_; }
 
@@ -582,7 +576,7 @@ class DaceEstimator : public CostEstimator {
   DaceModel model_;
   TrainStats last_train_stats_;
   ThreadPool* pool_ = nullptr;
-  TierMode tier_mode_ = DefaultTierMode();
+  TierMode tier_mode_ = TierMode::kAuto;
   mutable std::vector<BatchScratch> batch_scratch_;
   mutable std::vector<PackScratch> pack_scratch_;
   mutable CallScratch call_scratch_;

@@ -9,9 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
-#include "obs/report.h"
 #include "util/logging.h"
 
 namespace dace::obs {
@@ -225,50 +223,17 @@ void ExpositionServer::AcceptLoop() {
         "\r\n"
         "Connection: close\r\n\r\n" +
         body;
+    // MSG_NOSIGNAL: a scraper that hangs up mid-response must cost this
+    // write an EPIPE, not the whole process a SIGPIPE.
     size_t sent = 0;
     while (sent < response.size()) {
-      const ssize_t n =
-          ::write(conn, response.data() + sent, response.size() - sent);
+      const ssize_t n = ::send(conn, response.data() + sent,
+                               response.size() - sent, MSG_NOSIGNAL);
       if (n <= 0) break;
       sent += static_cast<size_t>(n);
     }
     ::close(conn);
     scrapes->Add(1);
-  }
-}
-
-// ----------------------------------------------- PeriodicSnapshotWriter ----
-
-PeriodicSnapshotWriter::PeriodicSnapshotWriter(std::string path,
-                                               int64_t period_ms)
-    : path_(std::move(path)), period_ms_(period_ms > 0 ? period_ms : 1000) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-PeriodicSnapshotWriter::~PeriodicSnapshotWriter() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
-
-void PeriodicSnapshotWriter::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_.wait_for(lock, std::chrono::milliseconds(period_ms_),
-                 [this] { return stop_; });
-    lock.unlock();
-    const Status status = WriteMetricsReport(path_);
-    if (!status.ok()) {
-      DACE_LOG(WARN) << "periodic metrics snapshot to " << path_
-                     << " failed: " << status.ToString();
-    } else {
-      writes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    lock.lock();
-    if (stop_) return;  // the write above was the final one
   }
 }
 

@@ -2,10 +2,7 @@
 #define DACE_OBS_EXPOSITION_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 
@@ -62,32 +59,6 @@ class ExpositionServer {
   const int listen_fd_;
   const int port_;
   std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
-
-// Push-side sidecar companion to the pull endpoint: a background thread
-// that rewrites the metrics run report (obs/report.h, atomic rename — a
-// reader never sees a torn file) every period until destruction, plus one
-// final write on shutdown so the file always reflects the end state.
-class PeriodicSnapshotWriter {
- public:
-  PeriodicSnapshotWriter(std::string path, int64_t period_ms);
-  ~PeriodicSnapshotWriter();
-
-  PeriodicSnapshotWriter(const PeriodicSnapshotWriter&) = delete;
-  PeriodicSnapshotWriter& operator=(const PeriodicSnapshotWriter&) = delete;
-
-  uint64_t writes() const { return writes_.load(std::memory_order_relaxed); }
-
- private:
-  void Loop();
-
-  const std::string path_;
-  const int64_t period_ms_;
-  std::atomic<uint64_t> writes_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
   std::thread thread_;
 };
 

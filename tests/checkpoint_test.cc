@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dace_model.h"
@@ -137,7 +138,9 @@ class CheckpointFuzzTest : public ::testing::Test {
     EXPECT_EQ(stats_after.misses, stats_before.misses) << what;
   }
 
-  static std::string LegacyBlob(const DaceEstimator& est) {
+  // The featurizer and model streams back to back, with no checkpoint
+  // header or framing.
+  static std::string HeaderlessImage(const DaceEstimator& est) {
     ByteWriter w;
     est.featurizer().Serialize(&w);
     est.model().Serialize(&w);
@@ -323,39 +326,41 @@ TEST_F(CheckpointFuzzTest, LoraRankMismatchRejected) {
   ExpectRejectedAndUntouched(foreign_blob, "lora rank mismatch");
 }
 
-// ---------------------------------------------------------- legacy files --
+// ----------------------------------------------------- headerless images --
 
-TEST_F(CheckpointFuzzTest, LegacyFormat0StillLoads) {
-  const std::string path = TempPath("ckpt_legacy.dace");
-  ASSERT_TRUE(WriteFileAtomic(path, LegacyBlob(*donor_)).ok());
-  DaceEstimator restored(TinyConfig());
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  std::remove(path.c_str());
-  EXPECT_TRUE(restored.model().lora_attached());
-  for (const auto& probe : *probes_) {
-    const auto want = donor_->PredictSubPlansMs(probe);
-    const auto got = restored.PredictSubPlansMs(probe);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t j = 0; j < got.size(); ++j) EXPECT_EQ(got[j], want[j]);
-  }
+// The bare featurizer + model byte stream, with no checkpoint header, is not
+// a checkpoint: the whole stream is rejected with DataLoss and the victim's
+// weights, predictions and cache entries stay exactly as they were.
+TEST_F(CheckpointFuzzTest, HeaderlessImageRejected) {
+  const std::string headerless = HeaderlessImage(*donor_);
+  const uint64_t version_before = victim_->model().weights_version();
+  EXPECT_EQ(victim_->LoadFromString(headerless).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(victim_->model().weights_version(), version_before);
+  ExpectRejectedAndUntouched(headerless, "headerless image");
 }
 
-TEST_F(CheckpointFuzzTest, LegacyFormat0CorruptionRejectedTransactionally) {
-  const std::string legacy = LegacyBlob(*donor_);
-  const size_t step = std::max<size_t>(1, legacy.size() / 31);
-  for (size_t cut = 0; cut < legacy.size(); cut += step) {
-    ExpectRejectedAndUntouched(
-        legacy.substr(0, cut),
-        "legacy truncated at offset " + std::to_string(cut));
+// Every prefix of the headerless stream, and the stream with trailing bytes,
+// comes back DataLoss without touching the victim's weights version; a
+// sampled set of prefixes also gets the full bit-identity and cache-hit check.
+TEST_F(CheckpointFuzzTest, HeaderlessImagePrefixesRejected) {
+  const std::string headerless = HeaderlessImage(*donor_);
+  const std::string_view image = headerless;
+  const uint64_t version_before = victim_->model().weights_version();
+  for (size_t cut = 0; cut < image.size(); ++cut) {
+    ASSERT_EQ(victim_->LoadFromString(image.substr(0, cut)).code(),
+              StatusCode::kDataLoss)
+        << "headerless prefix of " << cut << " bytes";
   }
-  ExpectRejectedAndUntouched(legacy + "x", "legacy trailing garbage");
-  // A legacy stream whose weights were produced under another architecture
-  // still fails shape validation against the live config.
-  DaceConfig other = TinyConfig();
-  other.hidden2 = 4;
-  DaceEstimator foreign(other);
-  foreign.Train(*plans_);
-  ExpectRejectedAndUntouched(LegacyBlob(foreign), "legacy cross-config");
+  ASSERT_EQ(victim_->LoadFromString(headerless + "x").code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(victim_->model().weights_version(), version_before);
+  const size_t step = std::max<size_t>(1, headerless.size() / 31);
+  for (size_t cut = 0; cut < headerless.size(); cut += step) {
+    ExpectRejectedAndUntouched(
+        headerless.substr(0, cut),
+        "headerless truncated at offset " + std::to_string(cut));
+  }
+  ExpectRejectedAndUntouched(headerless + "x", "headerless trailing garbage");
 }
 
 // ------------------------------------------------- API-misuse diagnostics --

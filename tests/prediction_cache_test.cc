@@ -172,13 +172,11 @@ TEST_F(EstimatorCacheTest, DeserializeInvalidatesCachedPredictions) {
   estimator_->set_prediction_cache_capacity(256);
   (void)estimator_->PredictMs(plans_[0]);
 
-  // Round-trip the model through serialization: same weights, but Deserialize
+  // Round-trip through the checkpoint image: same weights, but the load
   // must still bump the version (the bytes could have held anything).
-  dace::ByteWriter buf;
-  estimator_->mutable_model().Serialize(&buf);
-  dace::ByteReader reader(buf.buffer().data(), buf.buffer().size());
+  const std::string image = estimator_->SerializeToString();
   const uint64_t version_before = estimator_->model().weights_version();
-  ASSERT_TRUE(estimator_->mutable_model().Deserialize(&reader).ok());
+  ASSERT_TRUE(estimator_->LoadFromString(image).ok());
   EXPECT_GT(estimator_->model().weights_version(), version_before);
 
   const auto misses_before = estimator_->prediction_cache_stats().misses;

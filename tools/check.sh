@@ -8,8 +8,10 @@
 #                     scalar fallback, proving SIMD-off correctness.
 #   3. precision    — the kernel/layer/packed/differential/tiered suites
 #                     under every DACE_KERNELS={scalar,avx2} x
-#                     DACE_PRECISION={f64,f32,i8} combination (avx2 columns
-#                     skipped on machines without AVX2+FMA). Precision routes
+#                     DACE_PRECISION={f32,i8} combination (avx2 columns
+#                     skipped on machines without AVX2+FMA). f64 is the
+#                     default precision, so stages 1 and 2 already run these
+#                     suites at f64 in both ISA modes. Precision routes
 #                     teacher misses (f64 per plan, f32/i8 packed), and every
 #                     suite asserting bit-identity pins its precision
 #                     internally, so a green run here proves both that the
@@ -35,11 +37,13 @@
 #   7. tsan-serve   — the serving-layer suites (coalescing scheduler, hot
 #                     swap, soak with concurrent swappers, differential
 #                     bit-identity — including the PackedF32* variants
-#                     that pin f32, so every miss takes the packed path)
+#                     that pin f32, so every miss takes the packed path;
+#                     the ExpositionServerTest scrapes, one of which
+#                     scrapes a served tenant while clients report actuals)
 #                     re-run explicitly under TSan with tracing and INFO
 #                     logging on: the admission queue, drainer threads,
-#                     packed fan-out and snapshot publication must be
-#                     race-free, not just produce correct numbers.
+#                     packed fan-out, snapshot publication and live scrapes
+#                     must be race-free, not just produce correct numbers.
 #   8. obs-off      — separate build tree with -DDACE_OBS=OFF proving the
 #                     DACE_TRACE_SPAN no-op macro compiles everywhere and the
 #                     suite still passes without span instrumentation.
@@ -60,15 +64,7 @@
 #                     baseline, not a single request may fail during the
 #                     swaps, and the forced-regression canary must roll
 #                     back with the incumbent's predictions bit-identical.
-#  11. bench-serve  — the closed-loop serving load generator; writes
-#                     BENCH_serve.json as the committed throughput/latency
-#                     record for the coalescing scheduler. The same run
-#                     serves live Prometheus text on an ephemeral
-#                     --metrics-port and lingers after the load; the smoke
-#                     scrapes it once and validates the exposition format
-#                     (HELP/TYPE pairs, cumulative le buckets, the
-#                     serve.feedback.* counters) before the process exits.
-#  12. bench-micro  — kernel/inference microbenchmarks; writes
+#  11. bench-micro  — kernel/inference microbenchmarks; writes
 #                     BENCH_micro.json and gates on the derived records:
 #                     the packed f32 path must not be slower than the
 #                     per-plan path (packed_f32_vs_perplan_speedup >= 1.0), the
@@ -79,7 +75,7 @@
 #                     and per-prediction accuracy tracking must stay in the
 #                     noise on the tiered hot path
 #                     (feedback_overhead_pct <= 2%).
-#  13. bench-select — plan-selection quality replay (estimators CHOOSE plans
+#  12. bench-select — plan-selection quality replay (estimators CHOOSE plans
 #                     from the optimizer's candidate sets; chosen plans are
 #                     executed on both machine profiles); rewrites
 #                     BENCH_select.json and gates against the committed
@@ -105,58 +101,58 @@ run_ctest() {
   (cd "$dir" && "$@" ctest --output-on-failure)
 }
 
-echo "==> [1/13] native build + tests"
+echo "==> [1/12] native build + tests"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$JOBS"
 run_ctest build env
 
-echo "==> [2/13] scalar-forced tests (same build, DACE_KERNELS=scalar)"
+echo "==> [2/12] scalar-forced tests (same build, DACE_KERNELS=scalar)"
 run_ctest build env DACE_KERNELS=scalar
 
-echo "==> [3/13] kernels x precision matrix (targeted suites, 6 combos)"
+echo "==> [3/12] kernels x precision matrix (targeted suites, 4 combos)"
 PRECISION_SUITES='Kernels|Matrix|Layers|PackedInference|ServeDifferential|TieredServing'
 ISAS="scalar"
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then ISAS="scalar avx2"; fi
 for isa in $ISAS; do
-  for prec in f64 f32 i8; do
+  for prec in f32 i8; do
     echo "    -- DACE_KERNELS=$isa DACE_PRECISION=$prec"
     (cd build && env DACE_KERNELS="$isa" DACE_PRECISION="$prec" \
       ctest --output-on-failure -R "$PRECISION_SUITES")
   done
 done
 
-echo "==> [4/13] address-sanitizer build + tests (both ISA modes)"
+echo "==> [4/12] address-sanitizer build + tests (both ISA modes)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDACE_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 run_ctest build-asan env
 run_ctest build-asan env DACE_KERNELS=scalar
 
-echo "==> [5/13] checkpoint + plan-text fuzz + int8/tiered under ASan"
+echo "==> [5/12] checkpoint + plan-text fuzz + int8/tiered under ASan"
 echo "           (both ISA modes)"
 (cd build-asan && env \
   ctest --output-on-failure -R 'Checkpoint|PlanIoFuzz|KernelsI8|TieredServing')
 (cd build-asan && env DACE_KERNELS=scalar \
   ctest --output-on-failure -R 'Checkpoint|PlanIoFuzz|KernelsI8|TieredServing')
 
-echo "==> [6/13] thread-sanitizer build + tests (logging INFO, tracing on)"
+echo "==> [6/12] thread-sanitizer build + tests (logging INFO, tracing on)"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDACE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS"
 run_ctest build-tsan env DACE_LOG_LEVEL=INFO DACE_TRACE=1
 
-echo "==> [7/13] serving-layer suites under TSan (soak, swap, differential"
-echo "           incl. PackedF32* packed-path variants)"
+echo "==> [7/12] serving-layer suites under TSan (soak, swap, differential"
+echo "           incl. PackedF32* packed-path variants, live scrapes)"
 (cd build-tsan && env DACE_LOG_LEVEL=INFO DACE_TRACE=1 \
   ctest --output-on-failure -R 'Serve|RegistrySwap')
 
-echo "==> [8/13] observability-disabled build + tests (-DDACE_OBS=OFF)"
+echo "==> [8/12] observability-disabled build + tests (-DDACE_OBS=OFF)"
 cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
   -DDACE_OBS=OFF >/dev/null
 cmake --build build-obs-off -j "$JOBS"
 run_ctest build-obs-off env
 
-echo "==> [9/13] drift-detector soak + fig07 detector-replay gate"
+echo "==> [9/12] drift-detector soak + fig07 detector-replay gate"
 (cd build && ctest --output-on-failure -R 'DriftSoak|PageHinkley|^KsTest')
 ./build/bench/bench_fig07_data_drift --wdm_train=300 --test_queries=150 \
   --queries_per_db=30 --epochs=2 --json=BENCH_fig07_drift.json
@@ -197,7 +193,7 @@ for model, r in sorted(by_model.items()):
           f"ks={delay(r['ks_time_to_detect'])}")
 EOF
 
-echo "==> [10/13] drift-recovery gate (closed-loop adaptation soak records)"
+echo "==> [10/12] drift-recovery gate (closed-loop adaptation soak records)"
 python3 - <<'EOF'
 import json, sys
 
@@ -253,85 +249,7 @@ print(f"    {int(soak['promoted'])} candidate(s) promoted, generation "
 print(f"    forced-regression canary rolled back, incumbent bit-identical")
 EOF
 
-echo "==> [11/13] serving load generator + live exposition smoke"
-rm -f /tmp/bench_serve_expo.log
-./build/bench/bench_serve --json=BENCH_serve.json --metrics-port=0 \
-  --linger-ms=30000 >/tmp/bench_serve_expo.log 2>&1 &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-python3 - <<'EOF'
-import re, sys, time, urllib.request
-
-# The endpoint comes up before the load runs; wait for the printed port.
-deadline = time.time() + 60
-port = None
-while time.time() < deadline and port is None:
-    try:
-        log = open("/tmp/bench_serve_expo.log").read()
-        m = re.search(r"metrics endpoint: http://127\.0\.0\.1:(\d+)/metrics", log)
-        if m:
-            port = int(m.group(1))
-            break
-    except FileNotFoundError:
-        pass
-    time.sleep(0.2)
-if port is None:
-    sys.exit("FAIL: bench_serve never printed its metrics endpoint")
-
-# Wait for the load to finish so the scrape sees the end-state counters.
-while time.time() < deadline and "lingering" not in open("/tmp/bench_serve_expo.log").read():
-    time.sleep(0.2)
-
-text = urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
-failures = []
-
-# Structural validation of the exposition format: every sample line must be
-# `name{labels}? value`, every family must carry HELP+TYPE, histogram
-# bucket counts must be cumulative and end in +Inf.
-sample_re = re.compile(
-    r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]+"\})? '
-    r'(-?\d+(\.\d+)?([eE][+-]?\d+)?|NaN|\+Inf|-Inf)$')
-helped, typed = set(), set()
-buckets = {}
-for line in text.splitlines():
-    if line.startswith("# HELP "):
-        helped.add(line.split()[2])
-    elif line.startswith("# TYPE "):
-        typed.add(line.split()[2])
-    elif line:
-        if not sample_re.match(line):
-            failures.append(f"malformed sample line: {line!r}")
-            continue
-        name = line.split("{")[0].split(" ")[0]
-        if name.endswith("_bucket"):
-            buckets.setdefault(name, []).append(line)
-if helped != typed:
-    failures.append(f"HELP/TYPE mismatch: {sorted(helped ^ typed)}")
-for name, lines in buckets.items():
-    counts = [float(l.rsplit(" ", 1)[1]) for l in lines]
-    if counts != sorted(counts):
-        failures.append(f"{name}: bucket counts not cumulative")
-    if 'le="+Inf"' not in lines[-1]:
-        failures.append(f"{name}: last bucket is not le=\"+Inf\"")
-
-# The run must have exercised the feedback/observability path end to end.
-for needle in ("serve_feedback_predictions", "serve_feedback_joined",
-               "serve_requests", "obs_exposition_scrapes",
-               "accuracy_tenant_0_qerror_window_bucket"):
-    if needle not in text:
-        failures.append(f"expected metric missing from scrape: {needle}")
-
-if failures:
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    sys.exit(1)
-print(f"    scraped {len(text.splitlines())} exposition lines from port {port}: format ok")
-EOF
-kill "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
-trap - EXIT
-
-echo "==> [12/13] microbenchmarks + speedup/overhead gates (writes BENCH_micro.json)"
+echo "==> [11/12] microbenchmarks + speedup/overhead gates (writes BENCH_micro.json)"
 ./build/bench/bench_micro --json=BENCH_micro.json --benchmark_min_time=0.5
 python3 - <<'EOF'
 import json, sys
@@ -393,7 +311,7 @@ print(f"    tiered_qerror_budget             {qerr['ratio']:.4f} (<= {qerr['budg
 print(f"    feedback_overhead_pct            {feedback['overhead_pct']:+.2f}% (<= +2.00%)")
 EOF
 
-echo "==> [13/13] plan-selection regret gate (rewrites BENCH_select.json)"
+echo "==> [12/12] plan-selection regret gate (rewrites BENCH_select.json)"
 cp BENCH_select.json /tmp/bench_select_baseline.json
 ./build/bench/bench_select --json=BENCH_select.json
 python3 - <<'EOF'
@@ -440,4 +358,4 @@ for machine in ("M1", "M2"):
                   f"pct_optimal {r['pct_optimal']:.1f}%")
 EOF
 
-echo "==> all thirteen configurations passed"
+echo "==> all twelve configurations passed"
