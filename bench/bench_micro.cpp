@@ -17,6 +17,7 @@
 
 #include "bench/bench_util.h"
 #include "core/dace_model.h"
+#include "core/plan_choice.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "engine/corpus.h"
@@ -520,6 +521,27 @@ void BM_PredictBatchTieredAuto(benchmark::State& state) {
                           static_cast<int64_t>(f.plans.size()));
 }
 BENCHMARK(BM_PredictBatchTieredAuto)->Unit(benchmark::kMillisecond);
+
+// One whole plan choice as perfbench's train_select times it: enumerate the
+// candidates of a spec (same specs as BM_OptimizerEnumerateCandidates) and
+// score them with DACE through core::EstimatorPlanChoice, kAuto at i8 on the
+// default pool, cache off so every candidate is scored cold.
+void BM_OptimizerChoosePlan(benchmark::State& state) {
+  Fixture& f = GetFixture();
+  ScopedPrecision pin(nn::kernel::Precision::kI8);
+  ScopedTier tier(&f.estimator, core::DaceEstimator::TierMode::kAuto);
+  f.estimator.set_prediction_cache_capacity(0);
+  const core::EstimatorPlanChoice scorer(&f.estimator);
+  const engine::Optimizer optimizer(&f.db);
+  const auto specs =
+      engine::GenerateQueries(f.db, engine::WorkloadKind::kComplex, 32, 3);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        optimizer.ChoosePlan(specs[i++ % specs.size()], scorer));
+  }
+}
+BENCHMARK(BM_OptimizerChoosePlan);
 
 // The tiered path plus the per-prediction cost of accuracy tracking: one
 // wait-free FeedbackLedger::RecordPrediction per plan, exactly what

@@ -1007,7 +1007,6 @@ void DaceEstimator::ServeStudentTier(
     uint64_t version, const featurize::FeaturizerConfig& fc, bool cache_on,
     std::vector<double>* out) const {
   CallScratch& cs = call_scratch_;
-  ThreadPool* pool = model_.thread_pool();
   const size_t m = cs.misses.size();
   TierRequestsCounter()->Add(m);
   cs.served.assign(m, 0);
@@ -1016,7 +1015,7 @@ void DaceEstimator::ServeStudentTier(
   const double q_bound = student.gate_q_bound();
   const bool i8 =
       nn::kernel::ActivePrecision() == nn::kernel::Precision::kI8;
-  pool->ParallelForWorker(0, m, [&](int slot, size_t mi) {
+  const auto serve = [&](int slot, size_t mi) {
     const size_t i = cs.misses[mi];
     const uint64_t t0_us = LatencyNowUs();
     BatchScratch& s = batch_scratch_[static_cast<size_t>(slot)];
@@ -1047,7 +1046,12 @@ void DaceEstimator::ServeStudentTier(
       PredictLatencyUsHistogram()->Observe(elapsed);
       TierStudentLatencyHistogram()->Observe(elapsed);
     }
-  });
+  };
+  if (m < kStudentFanOutMinPlans) {
+    for (size_t mi = 0; mi < m; ++mi) serve(0, mi);
+  } else {
+    model_.thread_pool()->ParallelForWorker(0, m, serve);
+  }
   cs.escalated.clear();
   for (size_t mi = 0; mi < m; ++mi) {
     if (cs.served[mi] == 0) cs.escalated.push_back(cs.misses[mi]);

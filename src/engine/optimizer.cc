@@ -71,9 +71,11 @@ const core::PlanChoiceEstimator& Optimizer::NativeScorer() {
   return *scorer;
 }
 
-std::vector<Optimizer::ScanStats> Optimizer::ComputeScanStats(
+Optimizer::QueryStats Optimizer::ComputeQueryStats(
     const QuerySpec& spec) const {
-  std::vector<ScanStats> scans(spec.tables.size());
+  QueryStats stats;
+  std::vector<ScanStats>& scans = stats.scans;
+  scans.resize(spec.tables.size());
   for (size_t k = 0; k < spec.tables.size(); ++k) {
     const TableRef& ref = spec.tables[k];
     const Table& table = db_->tables[static_cast<size_t>(ref.table_id)];
@@ -98,7 +100,39 @@ std::vector<Optimizer::ScanStats> Optimizer::ComputeScanStats(
       }
     }
   }
-  return scans;
+  stats.joins.resize(spec.join_edge_ids.size());
+  for (size_t e = 0; e < spec.join_edge_ids.size(); ++e) {
+    const JoinEdge& edge =
+        db_->join_edges[static_cast<size_t>(spec.join_edge_ids[e])];
+    // The true filter selectivity of the edge's to-table drives the join's
+    // correlation boost.
+    double to_true_sel = 1.0;
+    for (size_t k = 0; k < spec.tables.size(); ++k) {
+      if (spec.tables[k].table_id == edge.to_table) {
+        to_true_sel = scans[k].true_sel;
+        break;
+      }
+    }
+    stats.joins[e].est_sel = selectivity_.EstimatedJoin(edge);
+    stats.joins[e].true_sel = selectivity_.TrueJoin(edge, to_true_sel);
+  }
+  return stats;
+}
+
+AccessPathChoice Optimizer::ResolvePath(const ScanStats& stats,
+                                        AccessPathChoice forced) {
+  // Access-path choice on ESTIMATES, like a real optimizer; an inapplicable
+  // forcing degrades to the sequential scan.
+  if (forced == AccessPathChoice::kAuto) {
+    if (stats.can_index && stats.est_sel < 0.002) {
+      return AccessPathChoice::kIndexScan;
+    }
+    if (stats.can_index && stats.est_sel < 0.05) {
+      return AccessPathChoice::kBitmapScan;
+    }
+    return AccessPathChoice::kSeqScan;
+  }
+  return stats.can_index ? forced : AccessPathChoice::kSeqScan;
 }
 
 Optimizer::SubPlan Optimizer::BuildScan(const TableRef& ref,
@@ -108,29 +142,9 @@ Optimizer::SubPlan Optimizer::BuildScan(const TableRef& ref,
   const Table& table = db_->tables[static_cast<size_t>(ref.table_id)];
   const double rows = static_cast<double>(table.row_count);
   const std::vector<plan::FilterPredicate>& filters = stats.filters;
-  const double est_sel = stats.est_sel;
-  const double est_card = ClampCard(rows * est_sel);
+  const double est_card = ClampCard(rows * stats.est_sel);
   const double act_card = ClampCard(rows * stats.true_sel);
-
-  // Access-path choice on ESTIMATES, like a real optimizer; an inapplicable
-  // forcing degrades to the sequential scan.
-  const bool can_index = stats.can_index;
-  bool use_index = false;
-  bool use_bitmap = false;
-  switch (forced) {
-    case AccessPathChoice::kSeqScan:
-      break;
-    case AccessPathChoice::kIndexScan:
-      use_index = can_index;
-      break;
-    case AccessPathChoice::kBitmapScan:
-      use_bitmap = can_index;
-      break;
-    case AccessPathChoice::kAuto:
-      use_index = can_index && est_sel < 0.002;
-      use_bitmap = !use_index && can_index && est_sel < 0.05;
-      break;
-  }
+  const AccessPathChoice path = ResolvePath(stats, forced);
 
   CostInputs in;
   in.table_rows = rows;
@@ -149,7 +163,7 @@ Optimizer::SubPlan Optimizer::BuildScan(const TableRef& ref,
   out.est_card = est_card;
   out.act_card = act_card;
 
-  if (use_index) {
+  if (path == AccessPathChoice::kIndexScan) {
     // Highly selective and indexed: plain index scan; index-only when the
     // single predicate touches just the indexed column (deterministic
     // stand-in for a covering-index check).
@@ -163,7 +177,7 @@ Optimizer::SubPlan Optimizer::BuildScan(const TableRef& ref,
     return out;
   }
 
-  if (use_bitmap) {
+  if (path == AccessPathChoice::kBitmapScan) {
     // Mid-selectivity: bitmap index scan feeding a bitmap heap scan. The
     // index scan covers only the first indexed qual, so its row stream is
     // rows * sel(that qual), not the full conjunction; the qual itself is
@@ -251,15 +265,16 @@ Optimizer::SubPlan Optimizer::BuildJoin(const SubPlan& left,
                                         const ScanStats& right_stats,
                                         AccessPathChoice right_forced,
                                         const JoinEdge& edge,
-                                        double parent_true_sel,
+                                        const JoinStats& join,
                                         JoinMethodChoice forced,
-                                        QueryPlan* plan) const {
+                                        QueryPlan* plan,
+                                        JoinMethodChoice* resolved) const {
   SubPlan right = BuildScan(right_ref, right_stats, right_forced, plan);
 
-  const double jsel_est = selectivity_.EstimatedJoin(edge);
-  const double jsel_true = selectivity_.TrueJoin(edge, parent_true_sel);
-  const double est_card = ClampCard(left.est_card * right.est_card * jsel_est);
-  const double act_card = ClampCard(left.act_card * right.act_card * jsel_true);
+  const double est_card =
+      ClampCard(left.est_card * right.est_card * join.est_sel);
+  const double act_card =
+      ClampCard(left.act_card * right.act_card * join.true_sel);
 
   PlanNode node;
   node.est_cardinality = est_card;
@@ -285,6 +300,7 @@ Optimizer::SubPlan Optimizer::BuildJoin(const SubPlan& left,
              : balanced_large              ? JoinMethodChoice::kMergeJoin
                                            : JoinMethodChoice::kHashJoin;
   }
+  *resolved = method;
 
   if (method == JoinMethodChoice::kNestedLoop) {
     // Nested loop; materialize a non-trivial inner to avoid rescans.
@@ -348,22 +364,16 @@ QueryPlan Optimizer::BuildPlan(const QuerySpec& spec) const {
 QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
                                             const PlanDecisions& decisions) const {
   DACE_CHECK_OK(ValidateSpec(*db_, spec));
-  return Build(spec, ComputeScanStats(spec), decisions);
+  return Build(spec, ComputeQueryStats(spec), decisions);
 }
 
-QueryPlan Optimizer::Build(const QuerySpec& spec,
-                           const std::vector<ScanStats>& scans,
-                           const PlanDecisions& decisions) const {
+QueryPlan Optimizer::Build(const QuerySpec& spec, const QueryStats& stats,
+                           const PlanDecisions& decisions,
+                           std::vector<JoinMethodChoice>* methods) const {
   QueryPlan plan;
   const size_t num_tables = spec.tables.size();
-
-  // Per-table true conjunction selectivity, for join correlation boosts.
-  const auto true_sel_of_table = [&](int32_t table_id) {
-    for (size_t k = 0; k < num_tables; ++k) {
-      if (spec.tables[k].table_id == table_id) return scans[k].true_sel;
-    }
-    return 1.0;
-  };
+  const std::vector<ScanStats>& scans = stats.scans;
+  JoinMethodChoice method = JoinMethodChoice::kAuto;
 
   const auto path_of = [&](size_t slot) {
     return slot < decisions.access_paths.size() ? decisions.access_paths[slot]
@@ -393,9 +403,9 @@ QueryPlan Optimizer::Build(const QuerySpec& spec,
       const JoinEdge& edge =
           db_->join_edges[static_cast<size_t>(spec.join_edge_ids[k])];
       current = BuildJoin(current, spec.tables[k + 1], scans[k + 1],
-                          path_of(k + 1), edge,
-                          true_sel_of_table(edge.to_table), method_of(k),
-                          &plan);
+                          path_of(k + 1), edge, stats.joins[k], method_of(k),
+                          &plan, &method);
+      if (methods != nullptr) methods->push_back(method);
     }
   } else {
     // Reordered left-deep build: join tables in `table_order`, attaching
@@ -423,12 +433,14 @@ QueryPlan Optimizer::Build(const QuerySpec& spec,
         }
       }
       DACE_CHECK_GE(edge_slot, 0) << "table order disconnects the join graph";
-      edge_used[static_cast<size_t>(edge_slot)] = true;
-      const JoinEdge& edge = db_->join_edges[static_cast<size_t>(
-          spec.join_edge_ids[static_cast<size_t>(edge_slot)])];
+      const auto slot = static_cast<size_t>(edge_slot);
+      edge_used[slot] = true;
+      const JoinEdge& edge =
+          db_->join_edges[static_cast<size_t>(spec.join_edge_ids[slot])];
       current = BuildJoin(current, spec.tables[pos], scans[pos], path_of(k),
-                          edge, true_sel_of_table(edge.to_table),
-                          method_of(k - 1), &plan);
+                          edge, stats.joins[slot], method_of(k - 1), &plan,
+                          &method);
+      if (methods != nullptr) methods->push_back(method);
       joined_ids.push_back(next_id);
     }
   }
@@ -474,13 +486,13 @@ std::vector<QueryPlan> Optimizer::EnumerateCandidates(
     const QuerySpec& spec, const CandidateOptions& options) const {
   DACE_CHECK_GE(options.max_candidates, 1);
   DACE_CHECK_OK(ValidateSpec(*db_, spec));
-  const std::vector<ScanStats> scans = ComputeScanStats(spec);
+  const QueryStats stats = ComputeQueryStats(spec);
   std::vector<QueryPlan> out;
   std::vector<uint64_t> hashes;  // out[i].StructuralHash()
   // Returns true when the decisions produced a structurally new candidate.
   const auto add = [&](const PlanDecisions& decisions) {
     if (static_cast<int>(out.size()) >= options.max_candidates) return false;
-    QueryPlan plan = Build(spec, scans, decisions);
+    QueryPlan plan = Build(spec, stats, decisions);
     const uint64_t hash = plan.StructuralHash();
     for (size_t i = 0; i < out.size(); ++i) {
       if (hashes[i] == hash && out[i] == plan) return false;
@@ -490,17 +502,27 @@ std::vector<QueryPlan> Optimizer::EnumerateCandidates(
     return true;
   };
 
-  // Candidate 0: the classic heuristic plan.
-  add(PlanDecisions{});
+  // Candidate 0: the classic heuristic plan, with the join method each step
+  // resolved to.
+  std::vector<JoinMethodChoice> classic_methods;
+  out.push_back(Build(spec, stats, PlanDecisions{}, &classic_methods));
+  hashes.push_back(out[0].StructuralHash());
 
   const size_t num_tables = spec.tables.size();
   const size_t num_joins = spec.join_edge_ids.size();
+
+  // The single-slot perturbations below skip every forcing that resolves to
+  // candidate 0's own choice for that slot: estimated cardinalities, and so
+  // every other slot's kAuto decision, do not depend on the method or path
+  // chosen at a slot, so such a build would reproduce candidate 0 byte for
+  // byte and be dropped as its duplicate.
 
   // Single-slot join-method perturbations on the spec's own order.
   for (size_t j = 0; j < num_joins; ++j) {
     for (const JoinMethodChoice method :
          {JoinMethodChoice::kNestedLoop, JoinMethodChoice::kHashJoin,
           JoinMethodChoice::kMergeJoin}) {
+      if (method == classic_methods[j]) continue;
       PlanDecisions decisions;
       decisions.join_methods.assign(num_joins, JoinMethodChoice::kAuto);
       decisions.join_methods[j] = method;
@@ -510,9 +532,12 @@ std::vector<QueryPlan> Optimizer::EnumerateCandidates(
 
   // Single-slot access-path perturbations (slot k = k-th scanned table).
   for (size_t t = 0; t < num_tables; ++t) {
+    const AccessPathChoice classic =
+        ResolvePath(stats.scans[t], AccessPathChoice::kAuto);
     for (const AccessPathChoice path :
          {AccessPathChoice::kSeqScan, AccessPathChoice::kIndexScan,
           AccessPathChoice::kBitmapScan}) {
+      if (ResolvePath(stats.scans[t], path) == classic) continue;
       PlanDecisions decisions;
       decisions.access_paths.assign(num_tables, AccessPathChoice::kAuto);
       decisions.access_paths[t] = path;

@@ -101,9 +101,12 @@ class Optimizer {
   // access-path perturbations plus alternative connected left-deep join
   // orders. A candidate is dropped when it equals an earlier one: equal
   // QueryPlan::StructuralHash confirmed by the exact structural operator==,
-  // so a hash collision never drops a distinct plan. The spec is validated
-  // and its scan statistics computed once, then shared by every candidate.
-  // Every candidate validates. `options.max_candidates` must be >= 1.
+  // so a hash collision never drops a distinct plan. A single-slot
+  // perturbation that resolves to candidate 0's own choice for that slot is
+  // not built at all: it would rebuild candidate 0 byte for byte. The spec
+  // is validated and its scan and join statistics computed once, then
+  // shared by every candidate. Every candidate validates.
+  // `options.max_candidates` must be >= 1.
   std::vector<plan::QueryPlan> EnumerateCandidates(
       const QuerySpec& spec,
       const CandidateOptions& options = CandidateOptions()) const;
@@ -144,26 +147,47 @@ class Optimizer {
     double bitmap_true_sel = 1.0;  // TruePredicate of that filter
   };
 
-  // ScanStats per spec table, aligned with spec.tables.
-  std::vector<ScanStats> ComputeScanStats(const QuerySpec& spec) const;
+  // What BuildJoin derives from one spec join edge alone, fixed per query
+  // like ScanStats.
+  struct JoinStats {
+    double est_sel = 1.0;   // EstimatedJoin
+    double true_sel = 1.0;  // TrueJoin, boosted by the to-table's true_sel
+  };
+
+  // Everything a build reads that depends on the spec alone.
+  struct QueryStats {
+    std::vector<ScanStats> scans;  // aligned with spec.tables
+    std::vector<JoinStats> joins;  // aligned with spec.join_edge_ids
+  };
+
+  QueryStats ComputeQueryStats(const QuerySpec& spec) const;
+
+  // The access path a scan with `stats` takes under `forced`: kSeqScan,
+  // kIndexScan or kBitmapScan, never kAuto. kAuto decides on the estimated
+  // selectivity; an index or bitmap forcing on a table with no indexed
+  // filtered column resolves to kSeqScan.
+  static AccessPathChoice ResolvePath(const ScanStats& stats,
+                                      AccessPathChoice forced);
 
   // The build body shared by BuildPlan, BuildPlanWithDecisions and
-  // EnumerateCandidates. `spec` must already be validated and `scans` must
-  // be ComputeScanStats(spec).
-  plan::QueryPlan Build(const QuerySpec& spec,
-                        const std::vector<ScanStats>& scans,
-                        const PlanDecisions& decisions) const;
+  // EnumerateCandidates. `spec` must already be validated and `stats` must
+  // be ComputeQueryStats(spec). When `methods` is non-null it receives the
+  // join method each join step resolved to, in step order.
+  plan::QueryPlan Build(const QuerySpec& spec, const QueryStats& stats,
+                        const PlanDecisions& decisions,
+                        std::vector<JoinMethodChoice>* methods = nullptr) const;
 
   // Builds the access path for one table ref.
   SubPlan BuildScan(const TableRef& ref, const ScanStats& stats,
                     AccessPathChoice forced, plan::QueryPlan* plan) const;
 
-  // Joins `left` with a fresh scan of `right_ref` along `edge`.
+  // Joins `left` with a fresh scan of `right_ref` along `edge`; `*resolved`
+  // receives the join method `forced` resolved to (never kAuto).
   SubPlan BuildJoin(const SubPlan& left, const TableRef& right_ref,
                     const ScanStats& right_stats,
                     AccessPathChoice right_forced, const JoinEdge& edge,
-                    double parent_true_sel, JoinMethodChoice forced,
-                    plan::QueryPlan* plan) const;
+                    const JoinStats& join, JoinMethodChoice forced,
+                    plan::QueryPlan* plan, JoinMethodChoice* resolved) const;
 
   // Appends a unary node on top of `input`.
   SubPlan AddUnary(plan::OperatorType type, const SubPlan& input,

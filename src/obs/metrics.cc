@@ -33,7 +33,6 @@ void Histogram::Observe(double v) {
   const size_t i = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
@@ -41,10 +40,13 @@ Histogram::Snapshot Histogram::TakeSnapshot() const {
   Snapshot s;
   s.upper_bounds = bounds_;
   s.counts.resize(bounds_.size() + 1);
+  // The total is the bucket sum: a total counted beside the buckets can be
+  // read out of step with them while Observe runs, and would then render a
+  // +Inf bucket below the last finite one.
   for (size_t i = 0; i <= bounds_.size(); ++i) {
     s.counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    s.count += s.counts[i];
   }
-  s.count = count_.load(std::memory_order_relaxed);
   s.sum = sum_.load(std::memory_order_relaxed);
   return s;
 }
@@ -53,7 +55,6 @@ void Histogram::Reset() {
   for (size_t i = 0; i <= bounds_.size(); ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
 }
 

@@ -120,7 +120,7 @@ class Histogram {
   struct Snapshot {
     std::vector<double> upper_bounds;   // finite bucket bounds
     std::vector<uint64_t> counts;       // upper_bounds.size() + 1 (overflow)
-    uint64_t count = 0;                 // total observations
+    uint64_t count = 0;                 // total observations, Σ counts
     double sum = 0.0;
 
     double Mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
@@ -138,7 +138,6 @@ class Histogram {
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -119,6 +121,42 @@ TEST(HistogramTest, ConcurrentObservationsAllLand) {
   EXPECT_EQ(s.count, kItems);
   for (size_t b = 0; b < 4; ++b) EXPECT_EQ(s.counts[b], kItems / 4);
   EXPECT_EQ(s.counts[4], 0u);
+}
+
+// A snapshot taken while observers run must still be a histogram: its total
+// is the sum of its buckets (so the rendered +Inf bucket and _count never
+// fall below the last finite bucket), and totals never go backwards. The
+// observers run until every snapshot is taken, and the snapshot loop yields
+// between snapshots, so snapshots land between an observer's steps.
+TEST(HistogramTest, SnapshotsRacingObserversStayConsistent) {
+  const std::vector<double> bounds = {1.0, 2.0, 3.0};
+  Histogram h(bounds);
+  constexpr int kObservers = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> observed{0};
+  std::vector<std::thread> observers;
+  for (int t = 0; t < kObservers; ++t) {
+    observers.emplace_back([&h, &stop, &observed, t] {
+      uint64_t n = 0;
+      for (size_t i = static_cast<size_t>(t); !stop.load(); ++i, ++n) {
+        h.Observe(static_cast<double>(i % 5));
+      }
+      observed.fetch_add(n);
+    });
+  }
+  uint64_t last = 0;
+  for (int snapshot = 0; snapshot < 2000; ++snapshot) {
+    const Histogram::Snapshot s = h.TakeSnapshot();
+    uint64_t bucket_sum = 0;
+    for (const uint64_t c : s.counts) bucket_sum += c;
+    EXPECT_EQ(s.count, bucket_sum) << "snapshot " << snapshot;
+    EXPECT_GE(s.count, last) << "snapshot " << snapshot;
+    last = s.count;
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& t : observers) t.join();
+  EXPECT_EQ(h.TakeSnapshot().count, observed.load());
 }
 
 TEST(BucketLayoutTest, ExponentialAndCanonicalLayouts) {

@@ -28,6 +28,7 @@
 #include "nn/kernels.h"
 #include "nn/kernels_f32.h"
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace dace::core {
 namespace {
@@ -232,6 +233,40 @@ TEST_F(TieredServingTest, CountersReconcileUnderStress) {
   EXPECT_LT(d.requests, issued);
   EXPECT_GT(d.student, 0u);
   estimator_.set_prediction_cache_capacity(0);
+}
+
+// The student tier runs a miss set on the calling thread below
+// kStudentFanOutMinPlans and fans it out over the pool from there on.
+// Either way an answer depends only on its plan: at i8, kAuto (student
+// answers plus teacher escalations) gives the same bits on a 1-thread and a
+// 4-thread pool for batches on both sides of the threshold, and the tier
+// counters reconcile on each.
+TEST_F(TieredServingTest, PoolSizeBitIdenticalAcrossStudentFanOutThreshold) {
+  nn::kernel::SetPrecision(Precision::kI8);
+  constexpr size_t kMin = DaceEstimator::kStudentFanOutMinPlans;
+  ASSERT_LT(kMin, eval_plans_.size());
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (const size_t batch : {size_t{1}, kMin - 1, kMin, eval_plans_.size()}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const std::vector<plan::QueryPlan> b(eval_plans_.begin(),
+                                         eval_plans_.begin() + batch);
+    std::vector<std::vector<double>> outs;
+    for (ThreadPool* pool : {&one, &four}) {
+      estimator_.set_thread_pool(pool);
+      const TierCounters before = TierCounters::Take();
+      outs.push_back(Predict(b, TierMode::kAuto));
+      const TierCounters d = TierCounters::Take().Delta(before);
+      EXPECT_EQ(batch, d.requests);
+      EXPECT_EQ(d.requests, d.student + d.escalated);
+    }
+    estimator_.set_thread_pool(nullptr);
+    ASSERT_EQ(outs[0].size(), batch);
+    ASSERT_EQ(outs[1].size(), batch);
+    for (size_t i = 0; i < batch; ++i) {
+      EXPECT_EQ(outs[0][i], outs[1][i]) << "plan " << i;
+    }
+  }
 }
 
 // The whole point of the tier: accuracy must not regress past the budget.
